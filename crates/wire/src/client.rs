@@ -21,6 +21,19 @@
 //!   Non-idempotent jobs are never hedged. (Duplicated work is cheap
 //!   server-side: the service canonicalises content-equal instances,
 //!   so the loser mostly hits warm tables.)
+//! * **Session reuse.** A client keeps a pool of idle negotiated
+//!   sessions (a connection plus its protocol version), so steady
+//!   traffic pays one connect and one `Hello` per session, not per
+//!   request. After an idempotent exchange the session goes back to the
+//!   pool only if it is in sync: the answer was a `Reply` or a `Reject`
+//!   carrying the request's id, and no bytes beyond it are buffered. A
+//!   `NO_REQUEST` reject, a `Goodbye`, a transport error or a protocol
+//!   error closes it. Before reuse a non-blocking peek drops a session
+//!   the peer has closed or written to (an idle `Goodbye`, say). If a
+//!   pooled session still fails in transport, the same attempt retries
+//!   once on a fresh session without backoff. Non-idempotent jobs
+//!   always run on a fresh session that is closed afterwards, so a
+//!   stale session can never turn them [`ClientError::Ambiguous`].
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -41,7 +54,7 @@ use crate::proto::{
 /// Configuration for [`WireClient`].
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
-    /// TCP connect timeout per attempt.
+    /// TCP connect timeout per new session.
     pub connect_timeout: Duration,
     /// Read poll granularity while waiting for frames.
     pub read_tick: Duration,
@@ -153,7 +166,8 @@ pub struct ClientReply {
     pub solve_time: Duration,
     /// Contained-panic re-executions the server consumed.
     pub server_retries: u32,
-    /// Connection/submit attempts this client made (1 = first try won).
+    /// Submit attempts this client made (1 = first try won). A stale
+    /// pooled session replaced within an attempt does not count.
     pub attempts: u32,
     /// Whether the hedge (not the primary) produced this verdict.
     pub hedged: bool,
@@ -210,16 +224,23 @@ enum AttemptError {
     Protocol(String),
 }
 
+/// What one successful exchange returns: verdict, queue wait, solve
+/// time and server-side retries.
+type Verdict = (WireOutcome, Duration, Duration, u32);
+
 struct Inner {
     addr: SocketAddr,
     cfg: ClientConfig,
     rng: Mutex<StdRng>,
     next_id: AtomicU64,
+    /// Idle in-sync sessions, most recently parked last.
+    idle: Mutex<Vec<Session>>,
 }
 
 /// The retrying client. Cheap to clone handles are not provided —
-/// wrap in `Arc` to share, or create one per thread (connections are
-/// per-request anyway).
+/// wrap in `Arc` to share, or create one per thread. Concurrent
+/// requests each hold their own session, so the pool grows to the peak
+/// number of requests in flight at once.
 pub struct WireClient {
     inner: Arc<Inner>,
 }
@@ -236,6 +257,7 @@ impl WireClient {
                 },
                 rng: Mutex::new(StdRng::seed_from_u64(cfg.seed)),
                 next_id: AtomicU64::new(1),
+                idle: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -361,59 +383,100 @@ impl Inner {
         jittered.max(hint)
     }
 
-    /// One connect → hello → submit → reply cycle.
-    #[allow(clippy::type_complexity)]
-    fn attempt(
-        &self,
-        spec: &JobSpec,
-    ) -> Result<(WireOutcome, Duration, Duration, u32), AttemptError> {
-        let io_err = |submitted: bool| move |err: io::Error| AttemptError::Io { submitted, err };
-        let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)
-            .map_err(io_err(false))?;
-        stream.set_nodelay(true).map_err(io_err(false))?;
+    /// One submit → reply exchange, on an idle pooled session when the
+    /// job is idempotent and one is left, else on a fresh session.
+    fn attempt(&self, spec: &JobSpec) -> Result<Verdict, AttemptError> {
+        if spec.idempotent {
+            if let Some(session) = self.take_idle() {
+                match self.exchange(session, spec) {
+                    // The peer dropped the session after the staleness
+                    // peek: a fresh session takes over, no backoff. A
+                    // reply timeout is not staleness and is not retried.
+                    Err(AttemptError::Io { err, .. }) if err.kind() != io::ErrorKind::TimedOut => {}
+                    done => return done,
+                }
+            }
+        }
+        let session = self.open()?;
+        self.exchange(session, spec)
+    }
+
+    /// Pops the most recently parked idle session that the peer has
+    /// left quiet, dropping stale ones on the way.
+    fn take_idle(&self) -> Option<Session> {
+        loop {
+            let session = self.idle.lock().expect("session pool").pop()?;
+            if session.conn.is_quiet() {
+                return Some(session);
+            }
+        }
+    }
+
+    /// Returns an in-sync session to the pool; sessions of
+    /// non-idempotent jobs are closed instead (they never take one).
+    fn park(&self, session: Session, spec: &JobSpec) {
+        if spec.idempotent {
+            self.idle.lock().expect("session pool").push(session);
+        }
+    }
+
+    /// Connect → hello: a fresh negotiated session.
+    fn open(&self) -> Result<Session, AttemptError> {
+        let io_err = |err: io::Error| AttemptError::Io {
+            submitted: false,
+            err,
+        };
+        let stream =
+            TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout).map_err(io_err)?;
+        stream.set_nodelay(true).map_err(io_err)?;
         stream
             .set_read_timeout(Some(self.cfg.read_tick))
-            .map_err(io_err(false))?;
+            .map_err(io_err)?;
         let mut conn = Conn {
             stream,
             decoder: FrameDecoder::new(self.cfg.max_payload),
-            tick: self.cfg.read_tick,
         };
-
-        // Version handshake.
         let hello = Message::Hello {
             min_version: MIN_VERSION,
             max_version: MAX_VERSION,
         };
-        conn.write(&hello).map_err(io_err(false))?;
-        match conn.read_message(None).map_err(io_err(false))? {
+        conn.write(&hello).map_err(io_err)?;
+        match conn.read_message(None).map_err(io_err)? {
             Message::HelloAck { version } if (MIN_VERSION..=MAX_VERSION).contains(&version) => {
-                // Never send a job the negotiated session can't carry:
-                // a v1 server would reject a Race submit anyway, so
-                // fail it here as the same terminal rejection.
-                if matches!(spec.job, WireJob::Race { .. }) && version < RACE_VERSION {
-                    return Err(AttemptError::Reject(WireError::Unsupported {
-                        server_min: version,
-                        server_max: version,
-                    }));
-                }
+                Ok(Session { conn, version })
             }
-            Message::HelloAck { version } => {
-                return Err(AttemptError::Protocol(format!(
-                    "server acked unoffered version {version}"
-                )))
-            }
-            Message::Reject { error, .. } => return Err(AttemptError::Reject(error)),
-            other => {
-                return Err(AttemptError::Protocol(format!(
-                    "expected HelloAck, got {:?}",
-                    other.kind()
-                )))
-            }
+            Message::HelloAck { version } => Err(AttemptError::Protocol(format!(
+                "server acked unoffered version {version}"
+            ))),
+            Message::Reject { error, .. } => Err(AttemptError::Reject(error)),
+            other => Err(AttemptError::Protocol(format!(
+                "expected HelloAck, got {:?}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// Submit → reply on `session`, which is parked again if it ends
+    /// in sync and closed otherwise.
+    fn exchange(&self, mut session: Session, spec: &JobSpec) -> Result<Verdict, AttemptError> {
+        // Never send a job the negotiated session can't carry: a v1
+        // server would reject a Race submit anyway, so fail it here as
+        // the same terminal rejection.
+        if matches!(spec.job, WireJob::Race { .. }) && session.version < RACE_VERSION {
+            let version = session.version;
+            self.park(session, spec);
+            return Err(AttemptError::Reject(WireError::Unsupported {
+                server_min: version,
+                server_max: version,
+            }));
         }
 
         // Submit. From the first byte written, the server may have the
         // request: any later transport failure is ambiguous.
+        let io_err = |err: io::Error| AttemptError::Io {
+            submitted: true,
+            err,
+        };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let submit = Message::Submit {
             id,
@@ -422,10 +485,23 @@ impl Inner {
             idempotent: spec.idempotent,
             edges: spec.edges.clone(),
         };
-        conn.write(&submit).map_err(io_err(true))?;
+        session.conn.write(&submit).map_err(io_err)?;
+        let answer = session
+            .conn
+            .read_message(self.cfg.reply_timeout)
+            .map_err(io_err)?;
 
-        let wait_cap = self.cfg.reply_timeout;
-        match conn.read_message(wait_cap).map_err(io_err(true))? {
+        // Only an answer to this very request, with nothing buffered
+        // past it, leaves the session in sync for the next one.
+        let in_sync = session.conn.decoder.pending() == 0
+            && matches!(
+                &answer,
+                Message::Reply { id: rid, .. } | Message::Reject { id: rid, .. } if *rid == id
+            );
+        if in_sync {
+            self.park(session, spec);
+        }
+        match answer {
             Message::Reply {
                 id: rid,
                 outcome,
@@ -453,17 +529,12 @@ impl Inner {
                 }
                 Err(AttemptError::Reject(error))
             }
-            Message::Goodbye { .. } => {
-                // The server is closing without answering; whether
-                // the job ran is unknown → transport-class failure.
-                Err(AttemptError::Io {
-                    submitted: true,
-                    err: io::Error::new(
-                        io::ErrorKind::ConnectionAborted,
-                        "server said goodbye before replying",
-                    ),
-                })
-            }
+            // The server is closing without answering; whether the job
+            // ran is unknown → transport-class failure.
+            Message::Goodbye { .. } => Err(io_err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "server said goodbye before replying",
+            ))),
             other => Err(AttemptError::Protocol(format!(
                 "unexpected frame {:?} while awaiting reply",
                 other.kind()
@@ -472,19 +543,38 @@ impl Inner {
     }
 }
 
+/// A negotiated session: a live connection and the protocol version
+/// its `Hello` settled on.
+struct Session {
+    conn: Conn,
+    version: u8,
+}
+
 /// One live connection: a stream plus its frame decoder.
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    tick: Duration,
 }
 
 impl Conn {
+    /// Whether the peer has neither closed this idle connection nor
+    /// sent anything on it since its last exchange.
+    fn is_quiet(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet = matches!(
+            self.stream.peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock
+        );
+        quiet && self.stream.set_nonblocking(false).is_ok()
+    }
+
     fn write(&mut self, msg: &Message) -> io::Result<()> {
         net::write_frame(&mut self.stream, &msg.encode_frame(), "wire/client/write")
     }
 
-    /// Blocks (in `tick` steps) until one whole message arrives.
+    /// Blocks (in `read_tick` steps) until one whole message arrives.
     /// `cap` bounds the total wait when `Some`.
     fn read_message(&mut self, cap: Option<Duration>) -> io::Result<Message> {
         let start = Instant::now();
@@ -532,7 +622,6 @@ impl Conn {
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
                     // Tick elapsed; loop re-checks the cap.
-                    let _ = self.tick;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),

@@ -12,9 +12,9 @@
 //!   protocol specification in the module docs.
 //! * [`server`] / [`client`] — a [`WireServer`] frontend that puts
 //!   [`htdserve::Server`] on a socket (per-connection deadlines, idle
-//!   reaping, graceful drain), and a [`WireClient`] that retries with
-//!   jittered exponential backoff, honors server overload hints, and
-//!   hedges idempotent requests.
+//!   reaping, graceful drain), and a [`WireClient`] that reuses its
+//!   negotiated sessions, retries with jittered exponential backoff,
+//!   honors server overload hints, and hedges idempotent requests.
 //!
 //! Under `--features fault-injection`, [`net`] wires
 //! [`decomp::faults::take_net`] chaos plans (mid-frame disconnects,

@@ -14,7 +14,8 @@
 //! * **Deadlines everywhere.** Reads run under a short `SO_RCVTIMEO`
 //!   tick so handlers observe shutdown promptly; connections idle past
 //!   [`WireConfig::idle_timeout`] are reaped with a polite
-//!   [`Message::Goodbye`].
+//!   [`Message::Goodbye`]. The acceptor blocks in `accept`; a halt
+//!   wakes it with one connection to the server's own address.
 //! * **Graceful degradation.** Admission failures surface as typed
 //!   wire errors — [`WireError::Overloaded`] carries a retry-after
 //!   hint, [`WireError::Expired`] the remaining budget,
@@ -26,7 +27,7 @@
 //!   [`WireReport`] even with clients still attached.
 
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -170,7 +171,6 @@ impl WireServer {
     /// service plus the accept loop.
     pub fn start<A: ToSocketAddrs>(addr: A, cfg: WireConfig) -> io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             svc: Server::start(cfg.service),
@@ -240,6 +240,7 @@ impl WireServer {
         }
         self.shared.stopping.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
+            wake_acceptor(self.addr, &h);
             let _ = h.join();
         }
         let drained: Vec<JoinHandle<()>> =
@@ -269,10 +270,10 @@ fn accept_loop(
     handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
-        if shared.stopping.load(Ordering::Acquire) {
-            return;
-        }
         match listener.accept() {
+            // Whatever arrives once stopping is set (the halt's
+            // wake-up connection included) is dropped unserved.
+            Ok(_) if shared.stopping.load(Ordering::Acquire) => return,
             Ok((stream, _peer)) => {
                 if net::accept_fault(&stream, "wire/accept") {
                     continue;
@@ -312,11 +313,31 @@ fn accept_loop(
                 kept.push(handle);
                 *reg = kept;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(_) if shared.stopping.load(Ordering::Acquire) => return,
+            // Back off so a persistent error (EMFILE, say) cannot spin.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+    }
+}
+
+/// Unblocks an acceptor parked in `accept` once `stopping` is set, by
+/// connecting to its own address (loopback for an unspecified bind).
+/// One connection in the backlog is enough; a failed connect is retried
+/// until the acceptor has exited, so `halt` never joins a thread that
+/// cannot wake.
+fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) {
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !acceptor.is_finished() {
+        if TcpStream::connect_timeout(&wake, Duration::from_millis(100)).is_ok() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

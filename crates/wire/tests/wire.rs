@@ -1,6 +1,7 @@
 //! Socket-level integration tests for the wire frontend: round trips,
 //! malformed-frame isolation, overload backoff, version negotiation,
-//! idle reaping, and clean drain/shutdown with clients attached.
+//! idle reaping, client session reuse, and clean drain/shutdown with
+//! clients attached.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -614,4 +615,162 @@ fn hedged_requests_return_a_single_verdict() {
     ));
     let report = server.shutdown();
     assert_invariants(&report.service);
+}
+
+// ---- session reuse and the blocking accept ----
+
+#[test]
+fn sequential_requests_share_one_session() {
+    let server = WireServer::start("127.0.0.1:0", WireConfig::default()).unwrap();
+    let cl = client(server.local_addr());
+    for _ in 0..20 {
+        let reply = cl.request(JobSpec::decide(small_cycle(), 2)).unwrap();
+        assert!(matches!(reply.outcome, WireOutcome::Decided { k: 2, .. }));
+        assert_eq!(reply.attempts, 1);
+    }
+    let report = server.shutdown();
+    assert_eq!(report.wire.connections_accepted, 1);
+    assert_eq!(report.wire.replies_sent, 20);
+}
+
+#[test]
+fn idle_reaped_session_is_replaced_transparently() {
+    let server = WireServer::start(
+        "127.0.0.1:0",
+        WireConfig {
+            idle_timeout: Duration::from_millis(50),
+            ..WireConfig::default()
+        },
+    )
+    .unwrap();
+    let cl = client(server.local_addr());
+    cl.request(JobSpec::decide(small_cycle(), 2)).unwrap();
+    // Wait until the server has reaped the pooled session.
+    let start = Instant::now();
+    while server.wire_stats().idle_reaped == 0 {
+        assert!(start.elapsed() < Duration::from_secs(5), "no idle reap");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let reply = cl.request(JobSpec::decide(small_cycle(), 2)).unwrap();
+    assert!(matches!(reply.outcome, WireOutcome::Decided { k: 2, .. }));
+    assert_eq!(reply.attempts, 1, "the stale session cost no attempt");
+    let stats = server.wire_stats();
+    assert_eq!(stats.idle_reaped, 1);
+    assert_eq!(stats.connections_accepted, 2);
+    server.shutdown();
+}
+
+#[test]
+fn non_idempotent_requests_open_a_session_each() {
+    let server = WireServer::start("127.0.0.1:0", WireConfig::default()).unwrap();
+    let cl = client(server.local_addr());
+    for _ in 0..5 {
+        let reply = cl
+            .request(JobSpec::decide(small_cycle(), 2).non_idempotent())
+            .unwrap();
+        assert!(matches!(reply.outcome, WireOutcome::Decided { k: 2, .. }));
+    }
+    let report = server.shutdown();
+    assert_eq!(report.wire.connections_accepted, 5);
+}
+
+/// A stand-in server answers the first submit with an `Overloaded`
+/// shed carrying the request id and the second with a reply, reading
+/// both from its one accepted connection: the client's retry must
+/// reuse the pooled session rather than reconnect.
+#[test]
+fn shed_reply_leaves_the_session_pooled() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stand_in = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let mut dec = FrameDecoder::new(htdwire::DEFAULT_MAX_PAYLOAD);
+        assert!(matches!(
+            read_msg(&mut stream, &mut dec),
+            Message::Hello { .. }
+        ));
+        send_msg(
+            &mut stream,
+            &Message::HelloAck {
+                version: htdwire::MAX_VERSION,
+            },
+        );
+        let Message::Submit { id, .. } = read_msg(&mut stream, &mut dec) else {
+            panic!("expected the first submit")
+        };
+        send_msg(
+            &mut stream,
+            &Message::Reject {
+                id,
+                error: WireError::Overloaded {
+                    queue_depth: 1,
+                    retry_after_ms: 1,
+                },
+            },
+        );
+        let Message::Submit { id, .. } = read_msg(&mut stream, &mut dec) else {
+            panic!("expected the retried submit on the same session")
+        };
+        send_msg(
+            &mut stream,
+            &Message::Reply {
+                id,
+                outcome: WireOutcome::Decided {
+                    k: 2,
+                    witness: None,
+                },
+                queue_wait_ns: 0,
+                solve_ns: 0,
+                retries: 0,
+            },
+        );
+        listener.set_nonblocking(true).unwrap();
+        assert!(
+            listener.accept().is_err(),
+            "the client opened a second connection"
+        );
+    });
+    let reply = WireClient::new(
+        addr,
+        ClientConfig {
+            max_attempts: 2,
+            ..ClientConfig::default()
+        },
+    )
+    .request(JobSpec::decide(small_cycle(), 2))
+    .expect("the retry after the shed succeeds");
+    assert_eq!(reply.attempts, 2);
+    stand_in.join().unwrap();
+}
+
+#[test]
+fn idle_server_halts_promptly_with_a_pooled_client() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        for drain in [false, true] {
+            let server = WireServer::start(bind, WireConfig::default()).unwrap();
+            let addr = SocketAddr::from(([127, 0, 0, 1], server.local_addr().port()));
+            let cl = client(addr);
+            cl.request(JobSpec::decide(small_cycle(), 2)).unwrap();
+            let start = Instant::now();
+            let report = if drain {
+                server.drain()
+            } else {
+                server.shutdown()
+            };
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_millis(500),
+                "{bind} {} took {elapsed:?}",
+                if drain { "drain" } else { "shutdown" }
+            );
+            assert_eq!(
+                report.wire.connections_accepted, 1,
+                "wake-up is not counted"
+            );
+            drop(cl);
+        }
+    }
 }
