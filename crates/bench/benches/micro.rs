@@ -6,13 +6,13 @@ use std::ops::ControlFlow;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use decomp::Control;
-use hypergraph::subsets::for_each_subset;
+use hypergraph::subsets::{for_each_cover_subset_in, for_each_subset, CoverScratch, CoverStep};
 use hypergraph::{
     separate, separate_into, Edge, Scratch, Separation, SpecialArena, Subproblem, Vertex, VertexSet,
 };
-use logk::LogK;
+use logk::{LogK, LpMode};
 use std::hint::black_box;
-use workloads::families;
+use workloads::{families, hyperbench_like, CorpusConfig};
 
 fn bench_bitsets(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/bitset");
@@ -222,7 +222,7 @@ fn bench_lp_prune(c: &mut Criterion) {
     // the sparse per-pair walk wins — `bad` is small, so walking its set
     // bits is cheaper than the walk's full-width stack copies — which is
     // why per-pair stays the default (see BENCHMARKS.md).
-    let incremental = LogK::sequential().with_lambda_p_incremental(true);
+    let incremental = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     g.bench_function("grid4x4_k3_prefiltered", |bch| {
         bch.iter(|| {
             let ctrl = Control::unlimited();
@@ -249,8 +249,8 @@ fn bench_lp_prune(c: &mut Criterion) {
     // BENCHMARKS.md). `with_lambda_p_mode` pins the modes explicitly;
     // the default engine would resolve `Auto` to incremental here.
     let wide = families::cycle(260);
-    let wide_pp = LogK::sequential().with_lambda_p_mode(logk::LpMode::Never);
-    let wide_inc = LogK::sequential().with_lambda_p_mode(logk::LpMode::Always);
+    let wide_pp = LogK::sequential().with_lambda_p_mode(LpMode::Never);
+    let wide_inc = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     let wide_unf = LogK::sequential().with_lambda_p_prefilter(false);
     g.bench_function("cycle260_k2_prefiltered", |bch| {
         bch.iter(|| {
@@ -402,6 +402,57 @@ fn bench_subsets(c: &mut Criterion) {
             n
         })
     });
+    // A space of the same size (the 30 edges of a 30-cycle, ≤ 2 picks),
+    // restricted to labels that cover a connector of two opposite cycle
+    // vertices (4 of the 465 subsets).
+    let cyc = families::cycle(30);
+    let conn = VertexSet::from_iter(cyc.num_vertices(), [Vertex(0), Vertex(15)]);
+    let cyc_cands: Vec<Edge> = cyc.edge_ids().collect();
+    let mut cover = CoverScratch::default();
+    g.bench_function("cover_walk_30_choose_le2", |bch| {
+        bch.iter(|| {
+            let mut n = 0u64;
+            for_each_cover_subset_in::<()>(
+                &cyc,
+                black_box(&cyc_cands),
+                black_box(&conn),
+                2,
+                &mut cover,
+                |step| {
+                    if let CoverStep::Visit(s) = step {
+                        n += s.len() as u64;
+                    }
+                    ControlFlow::Continue(())
+                },
+            );
+            n
+        })
+    });
+    g.finish();
+}
+
+/// det-k-decomp refutations, which walk the whole connector-cover label
+/// space: `clique8_k3` (hw 4) and the corpus instance whose hybrid k = 2
+/// refutation was the slowest in the `hb_sweep_t1` sweep (hw 3).
+fn bench_detk(c: &mut Criterion) {
+    let mut g = c.benchmark_group("micro/detk");
+    let csp = hyperbench_like(CorpusConfig::default())
+        .into_iter()
+        .find(|inst| inst.name == "syn_csp_074e_0010")
+        .expect("the default corpus holds syn_csp_074e_0010")
+        .hg;
+    for (name, hg, k) in [
+        ("clique8_k3", families::clique(8), 3),
+        ("syn_csp_074e_0010_k2", csp, 2),
+    ] {
+        assert!(!detk::decide_detk(&hg, k, &Control::unlimited()).unwrap());
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                let ctrl = Control::unlimited();
+                black_box(detk::decide_detk(black_box(&hg), k, &ctrl).unwrap())
+            })
+        });
+    }
     g.finish();
 }
 
@@ -534,6 +585,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_bitsets, bench_components, bench_subsets, bench_gyo, bench_neg_cache, bench_pos_cache, bench_lp_prune, bench_par_scaling, bench_ctrl_overhead, bench_race
+    targets = bench_bitsets, bench_components, bench_subsets, bench_detk, bench_gyo, bench_neg_cache, bench_pos_cache, bench_lp_prune, bench_par_scaling, bench_ctrl_overhead, bench_race
 }
 criterion_main!(benches);

@@ -287,18 +287,11 @@ impl LogK {
         self
     }
 
-    /// Pins the pre-filter's touch masks to incremental maintenance
-    /// across the λp subset walk (`true` → [`LpMode::Always`]) or
-    /// to per-pair recomputation (`false` → [`LpMode::Never`]).
-    /// Identical rejections either way, different constant — measured in
-    /// BENCHMARKS.md; the unpinned default is [`LpMode::Auto`].
-    pub fn with_lambda_p_incremental(mut self, on: bool) -> Self {
-        self.lambda_p_incremental = if on { LpMode::Always } else { LpMode::Never };
-        self
-    }
-
-    /// Replaces the full λp incremental-maintenance policy (the
-    /// tri-state behind [`Self::with_lambda_p_incremental`]).
+    /// Replaces the λp incremental-maintenance policy: touch masks kept
+    /// incrementally across the λp subset walk ([`LpMode::Always`]),
+    /// recomputed per pair ([`LpMode::Never`]), or chosen per level
+    /// ([`LpMode::Auto`], the default). Identical rejections either way,
+    /// different constant — measured in BENCHMARKS.md.
     pub fn with_lambda_p_mode(mut self, mode: LpMode) -> Self {
         self.lambda_p_incremental = mode;
         self

@@ -7,6 +7,11 @@
 //! The algorithm constructs an HD strictly top-down: for the current
 //! component it guesses a λ-label, derives the (minimal) bag
 //! `χ(u) = ⋃λ(u) ∩ V(C)`, splits `C` into `[χ(u)]`-components and recurses.
+//! λ is drawn from the connector-cover walk
+//! ([`hypergraph::subsets::for_each_cover_subset_in`]): only labels with
+//! `Conn ⊆ ⋃λ` are enumerated, in the order of the plain subset walk, so
+//! the labels that are never tried are exactly the ones the connectedness
+//! check would reject.
 //! Positive and negative results are memoised per `(component, connector)`
 //! — the extensive caching that makes the algorithm strong on small
 //! instances but, as the paper argues, inherently hard to parallelise.
@@ -31,7 +36,7 @@ use std::cell::OnceCell;
 use std::ops::ControlFlow;
 
 use decomp::{Control, Decomposition, Fragment, Interrupted};
-use hypergraph::subsets::for_each_subset_in;
+use hypergraph::subsets::{for_each_cover_subset_in, CoverScratch, CoverStep};
 use hypergraph::{
     separate_into, Edge, Hypergraph, LevelStack, Scratch, Separation, SpecialArena, Subproblem,
     VertexSet,
@@ -64,19 +69,19 @@ struct DetkLevel {
     conn_c: VertexSet,
     /// λ candidate edges.
     cands: Vec<Edge>,
-    /// Enumeration buffer for the subset walk.
-    lam_buf: Vec<Edge>,
+    /// Cover masks and enumeration buffer of the connector-cover walk.
+    cover: CoverScratch,
     /// Child fragments of the current candidate, drained into the
     /// returned fragment on acceptance.
     children: Vec<Fragment>,
-    /// Growth events of the non-BFS buffers (the BFS scratch meters its
-    /// own).
+    /// Growth events of the other buffers (the BFS and walk scratches
+    /// meter their own).
     grow: u64,
 }
 
 impl DetkLevel {
     fn grow_events(&self) -> u64 {
-        self.bfs.grow_events + self.grow
+        self.bfs.grow_events + self.cover.grow_events + self.grow
     }
 }
 
@@ -342,7 +347,7 @@ impl<'h> DetKDecomp<'h> {
             chi,
             conn_c,
             cands,
-            lam_buf,
+            cover,
             children,
             grow,
         } = lvl;
@@ -358,14 +363,19 @@ impl<'h> DetKDecomp<'h> {
         );
         *grow += (cands.capacity() > cands_cap) as u64;
 
-        let lam_cap = lam_buf.capacity();
+        // λ is drawn only from labels that cover the connector; the
+        // walk skips the rest without building their unions.
         let children_cap = children.capacity();
-        let found = for_each_subset_in(cands, self.k, lam_buf, |lambda| {
-            self.try_label(
-                arena, sub, conn, vsub, lambda, bfs, seps, union, chi, conn_c, children, grow,
-            )
-        });
-        *grow += (lam_buf.capacity() > lam_cap) as u64;
+        let found =
+            for_each_cover_subset_in(self.hg, cands, conn, self.k, cover, |step| match step {
+                CoverStep::Lead => match self.ctrl.checkpoint() {
+                    Ok(()) => ControlFlow::Continue(()),
+                    Err(e) => ControlFlow::Break(Err(e)),
+                },
+                CoverStep::Visit(lambda) => self.try_label(
+                    arena, sub, conn, vsub, lambda, bfs, seps, union, chi, conn_c, children, grow,
+                ),
+            });
         *grow += (children.capacity() > children_cap) as u64;
         match found {
             Some(Ok(f)) => Ok(Some(f)),
@@ -402,10 +412,8 @@ impl<'h> DetKDecomp<'h> {
         }
         *grow += self.hg.union_of_slice_into(lambda, union) as u64;
         // Connectedness: Conn ⊆ χ(u); since Conn ⊆ V(C) this reduces to
-        // Conn ⊆ ⋃λ.
-        if !conn.is_subset_of(union) {
-            return ControlFlow::Continue(());
-        }
+        // Conn ⊆ ⋃λ, which the connector-cover walk guarantees.
+        debug_assert!(conn.is_subset_of(union));
         // Minimal bag (Def. 3.5(3)), one fused pass.
         *grow += chi.assign_and(union, vsub) as u64;
 
@@ -466,6 +474,24 @@ mod tests {
     fn cycle(n: u32) -> Hypergraph {
         let edges: Vec<Vec<u32>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
         Hypergraph::from_edge_lists(&edges)
+    }
+
+    fn clique(q: u32) -> Hypergraph {
+        let edges: Vec<Vec<u32>> = (0..q)
+            .flat_map(|a| (a + 1..q).map(move |b| vec![a, b]))
+            .collect();
+        Hypergraph::from_edge_lists(&edges)
+    }
+
+    #[test]
+    fn clique8_width_four() {
+        // hw(K_q) = ⌈q/2⌉: a refutation that walks the whole pruned space
+        // and a witness whose bags must cover every connector.
+        let hg = clique(8);
+        let ctrl = Control::unlimited();
+        assert!(decompose_detk(&hg, 3, &ctrl).unwrap().is_none());
+        let d = decompose_detk(&hg, 4, &ctrl).unwrap().unwrap();
+        validate_hd_width(&hg, &d, 4).unwrap();
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::ops::ControlFlow;
 
 use decomp::{Control, Decomposition, Fragment, Interrupted};
-use hypergraph::subsets::for_each_subset_in;
+use hypergraph::subsets::{for_each_cover_subset_in, CoverScratch, CoverStep};
 use hypergraph::{
     separate_into, Edge, Hypergraph, LevelStack, Scratch, Separation, SpecialArena, Subproblem,
     VertexSet,
@@ -91,8 +91,8 @@ struct GhdLevel {
     conn_c: VertexSet,
     /// λ candidate edges.
     cands: Vec<Edge>,
-    /// Enumeration buffer for the subset walk.
-    lam_buf: Vec<Edge>,
+    /// Cover masks and enumeration buffer of the connector-cover walk.
+    cover: CoverScratch,
 }
 
 /// Stack of per-level bundles, taken out while a level is active so the
@@ -148,7 +148,7 @@ impl Ghd<'_> {
             chi,
             conn_c,
             cands,
-            lam_buf,
+            cover,
         } = lvl;
         self.hg.union_of_into(&sub.edges, vsub);
         cands.clear();
@@ -159,15 +159,17 @@ impl Ghd<'_> {
         );
         let size = sub.size();
 
-        let found = for_each_subset_in(cands, self.k, lam_buf, |lambda| {
+        // The fragment root must cover the interface to its parent: λ is
+        // drawn only from labels with `conn ⊆ ⋃λ`.
+        let found = for_each_cover_subset_in(self.hg, cands, conn, self.k, cover, |step| {
             if let Err(e) = self.ctrl.checkpoint() {
                 return ControlFlow::Break(Err(e));
             }
-            self.hg.union_of_slice_into(lambda, union);
-            // The fragment root must cover the interface to its parent.
-            if !conn.is_subset_of(union) {
+            let CoverStep::Visit(lambda) = step else {
                 return ControlFlow::Continue(());
-            }
+            };
+            self.hg.union_of_slice_into(lambda, union);
+            debug_assert!(conn.is_subset_of(union));
             chi.assign_and(union, vsub);
             separate_into(self.hg, &self.arena, sub, chi, bfs, seps);
             // BalancedGo's criterion: χ must be a balanced separator.

@@ -155,11 +155,11 @@ fn incremental_mode_is_counter_identical_to_per_pair() {
     });
     let ctrl = Control::unlimited();
     let per_pair = LogK::sequential();
-    let incremental = LogK::sequential().with_lambda_p_incremental(true);
+    let incremental = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     // The incremental stacks also live in every parallel branch's pooled
     // scratch bundle; decisions (counters are racy under the "any" race)
     // must agree there too.
-    let incremental_par = LogK::parallel(2).with_lambda_p_incremental(true);
+    let incremental_par = LogK::parallel(2).with_lambda_p_mode(LpMode::Always);
     let mut fired = 0u64;
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
         for k in 1..=4usize {
@@ -304,8 +304,8 @@ proptest! {
         let ctrl = Control::unlimited();
         let filtered_seq = LogK::sequential();
         let filtered_par = LogK::parallel(2);
-        let filtered_inc = LogK::sequential().with_lambda_p_incremental(true);
-        let filtered_inc_par = LogK::parallel(2).with_lambda_p_incremental(true);
+        let filtered_inc = LogK::sequential().with_lambda_p_mode(LpMode::Always);
+        let filtered_inc_par = LogK::parallel(2).with_lambda_p_mode(LpMode::Always);
         let unfiltered = LogK::sequential().with_lambda_p_prefilter(false);
         for k in 1..=3usize {
             let (a, sa) = filtered_seq.decompose_with_stats(&hg, k, &ctrl).unwrap();
