@@ -148,31 +148,6 @@ impl HybridMetric {
     }
 }
 
-/// Order in which λc/λp candidate edges are tried — the
-/// balance-likelihood heuristic behind `edge_rank`. Both orders are
-/// complete (they only permute the enumeration); the differential suite
-/// pins identical verdicts.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CandidateOrder {
-    /// Descending arity, ties by ascending id (the PR 2 default): larger
-    /// edges are likelier to cover `Conn` and to balance-separate. On
-    /// uniform-arity families this is a no-op permutation.
-    #[default]
-    Arity,
-    /// Descending covered degree mass `Σ_{v ∈ e} deg(v)` (ties by
-    /// descending arity, then id): prefers edges overlapping many other
-    /// edges, which separate more of the subproblem per λ slot — a
-    /// discriminating order even when every edge has the same arity.
-    DegreeCoverage,
-    /// Per-subproblem: descending `|e ∩ Conn|` (ties by the static
-    /// arity rank). Edges covering more of the current connector are
-    /// likelier to reach the root case (`Conn ⊆ ⋃λc`) early, at the
-    /// cost of one `intersection_len` per candidate per `ChildLoop`.
-    /// Degenerates to [`CandidateOrder::Arity`] when `Conn = ∅` (the
-    /// top-level call).
-    ConnCoverage,
-}
-
 /// When the λp pre-filter maintains its spill-touch masks incrementally
 /// across the subset walk instead of re-walking the spill vertices per
 /// (λc, λp) pair. See [`EngineConfig::lambda_p_incremental`] for the
@@ -263,10 +238,6 @@ pub struct EngineConfig {
     /// `usize::MAX` stores every found fragment, `0` disables positive
     /// inserts. See [`DEFAULT_POS_CACHE_MAX_FRAG`].
     pub pos_cache_max_frag: usize,
-    /// λc/λp candidate enumeration order (see [`CandidateOrder`]). The
-    /// `lambda_c_rejected`/`lambda_p_rejected` counters measure what an
-    /// order saves per workload family.
-    pub candidate_order: CandidateOrder,
     /// Sibling-children parallelism grain, component-count floor: the
     /// `try_as_root`/`finish_pair` child loops probe their sibling
     /// subproblems concurrently only when there are at least this many of
@@ -296,7 +267,6 @@ impl EngineConfig {
             lambda_p_prefilter: true,
             lambda_p_incremental: LpMode::Auto,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
-            candidate_order: CandidateOrder::Arity,
             child_split_min_components: DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
             child_split_min_size: DEFAULT_CHILD_SPLIT_MIN_SIZE,
         }
@@ -959,39 +929,7 @@ impl<'h> LogKEngine<'h> {
     pub fn new(hg: &'h Hypergraph, ctrl: &'h Control, cfg: EngineConfig) -> Self {
         assert!(cfg.k >= 1, "width parameter k must be at least 1");
         let mut order: Vec<Edge> = hg.edge_ids().collect();
-        match cfg.candidate_order {
-            // ConnCoverage re-sorts per subproblem in `child_loop`; its
-            // static rank (the tie-break) is the arity order.
-            CandidateOrder::Arity | CandidateOrder::ConnCoverage => {
-                order.sort_unstable_by_key(|&e| (std::cmp::Reverse(hg.edge(e).len()), e.0));
-            }
-            CandidateOrder::DegreeCoverage => {
-                // deg(v) = number of edges containing v; an edge's score
-                // is the degree mass it covers. One pass over the edge
-                // lists, O(Σ|e|).
-                let mut deg = vec![0u64; hg.num_vertices()];
-                for e in hg.edge_ids() {
-                    for v in hg.edge(e) {
-                        deg[v.0 as usize] += 1;
-                    }
-                }
-                let scores: Vec<u64> = (0..hg.num_edges())
-                    .map(|e| {
-                        hg.edge(Edge(e as u32))
-                            .iter()
-                            .map(|v| deg[v.0 as usize])
-                            .sum()
-                    })
-                    .collect();
-                order.sort_unstable_by_key(|&e| {
-                    (
-                        std::cmp::Reverse(scores[e.0 as usize]),
-                        std::cmp::Reverse(hg.edge(e).len()),
-                        e.0,
-                    )
-                });
-            }
-        }
+        order.sort_unstable_by_key(|&e| (std::cmp::Reverse(hg.edge(e).len()), e.0));
         let mut edge_rank = vec![0u32; hg.num_edges()];
         for (rank, e) in order.into_iter().enumerate() {
             edge_rank[e.0 as usize] = rank as u32;
@@ -1279,17 +1217,6 @@ impl<'h> LogKEngine<'h> {
         cands.clear();
         cands.extend(allowed.iter().filter(|&e| self.hg.edge(e).intersects(vsub)));
         cands.sort_unstable_by_key(|&e| self.edge_rank[e.0 as usize]);
-        if self.cfg.candidate_order == CandidateOrder::ConnCoverage && !conn.is_empty() {
-            // Per-subproblem refinement: candidates covering more of the
-            // current connector first (one fused intersection count per
-            // candidate), static rank as the tie-break.
-            cands.sort_unstable_by_key(|&e| {
-                (
-                    std::cmp::Reverse(self.hg.edge(e).intersection_len(conn)),
-                    self.edge_rank[e.0 as usize],
-                )
-            });
-        }
         ctx.meters.bump_grow(cands.capacity() > cands_cap);
 
         let checkpoint = arena.len();

@@ -24,9 +24,9 @@ mod tests_theory;
 pub use basic::{decide_basic, decompose_basic, SolveResult};
 pub use cache::{CacheSnapshot, Probe, SubproblemCache};
 pub use engine::{
-    CandidateOrder, EngineConfig, EngineStats, HybridConfig, HybridMetric, LogKEngine, LpMode,
-    DEFAULT_CACHE_BYTES, DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE,
-    DEFAULT_DETK_CACHE_CAP, LP_INCREMENTAL_AUTO_WORDS,
+    EngineConfig, EngineStats, HybridConfig, HybridMetric, LogKEngine, LpMode, DEFAULT_CACHE_BYTES,
+    DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE, DEFAULT_DETK_CACHE_CAP,
+    LP_INCREMENTAL_AUTO_WORDS,
 };
 pub use race::{width_bounds_racing, RaceStats};
 pub use solver::{

@@ -15,9 +15,9 @@ use rayon::ThreadPool;
 
 use crate::cache::{CacheSnapshot, SubproblemCache};
 use crate::engine::{
-    CandidateOrder, EngineConfig, HybridConfig, HybridMetric, LogKEngine, LpMode,
-    DEFAULT_CACHE_BYTES, DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE,
-    DEFAULT_DETK_CACHE_CAP, DEFAULT_POS_CACHE_MAX_FRAG,
+    EngineConfig, HybridConfig, HybridMetric, LogKEngine, LpMode, DEFAULT_CACHE_BYTES,
+    DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE, DEFAULT_DETK_CACHE_CAP,
+    DEFAULT_POS_CACHE_MAX_FRAG,
 };
 use detk::{MemoSnapshot, SharedMemo};
 
@@ -181,9 +181,6 @@ pub struct LogK {
     /// Largest fragment (node count) stored by a positive cache insert.
     /// See [`EngineConfig::pos_cache_max_frag`].
     pub pos_cache_max_frag: usize,
-    /// λc/λp candidate enumeration order.
-    /// See [`EngineConfig::candidate_order`].
-    pub candidate_order: CandidateOrder,
     /// Sibling-children parallelism grain, component-count floor.
     /// See [`EngineConfig::child_split_min_components`]; `usize::MAX`
     /// disables below-children parallelism without touching the λc race.
@@ -212,7 +209,6 @@ impl LogK {
             lambda_p_prefilter: true,
             lambda_p_incremental: LpMode::Auto,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
-            candidate_order: CandidateOrder::Arity,
             child_split_min_components: DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
             child_split_min_size: DEFAULT_CHILD_SPLIT_MIN_SIZE,
             shared_tables: None,
@@ -304,14 +300,6 @@ impl LogK {
         self
     }
 
-    /// Replaces the λc/λp candidate enumeration order (the differential
-    /// tests compare both; `lambda_c_rejected`/`lambda_p_rejected`
-    /// measure the cut).
-    pub fn with_candidate_order(mut self, order: CandidateOrder) -> Self {
-        self.candidate_order = order;
-        self
-    }
-
     /// Replaces the sibling-children parallelism grain: child loops fan
     /// their component subproblems out on the pool only with at least
     /// `min_components` siblings summing to at least `min_size` members.
@@ -370,7 +358,6 @@ impl LogK {
             lambda_p_prefilter: self.lambda_p_prefilter,
             lambda_p_incremental: self.lambda_p_incremental,
             pos_cache_max_frag: self.pos_cache_max_frag,
-            candidate_order: self.candidate_order,
             child_split_min_components: self.child_split_min_components,
             child_split_min_size: self.child_split_min_size,
             ..EngineConfig::sequential(k)

@@ -4,9 +4,10 @@
 
 use std::time::{Duration, Instant};
 
-use decomp::{validate_ghd, validate_hd, Control, Decomposition};
+use decomp::Control;
 use hypergraph::Hypergraph;
-use logk::{HybridConfig, HybridMetric, LogK};
+use logk::{HybridConfig, HybridMetric};
+use portfolio::{Engine, EngineKind, Verdict};
 
 use crate::stats::EngineCounters;
 
@@ -63,6 +64,32 @@ impl Method {
             Method::Ghd => "balanced-ghd".to_string(),
         }
     }
+
+    /// The registry engine this method runs.
+    pub fn engine(self) -> Engine {
+        match self {
+            Method::LogK { threads } => Engine::new(EngineKind::LogkPar, threads),
+            Method::LogKHybrid { threads } => Engine::new(EngineKind::LogkHybrid, threads),
+            Method::LogKHybridWith {
+                threads,
+                weighted,
+                threshold,
+            } => Engine::hybrid_with(
+                threads,
+                HybridConfig {
+                    metric: if weighted {
+                        HybridMetric::WeightedCount
+                    } else {
+                        HybridMetric::EdgeCount
+                    },
+                    threshold: threshold as f64,
+                },
+            ),
+            Method::DetK => Engine::new(EngineKind::Detk, 1),
+            Method::HtdSat => Engine::new(EngineKind::HtdSat, 1),
+            Method::Ghd => Engine::new(EngineKind::Ghd, 1),
+        }
+    }
 }
 
 /// How a run ended.
@@ -74,7 +101,8 @@ pub enum RunStatus {
     Timeout,
     /// Encoding exceeded the memory budget (SAT baseline only).
     Memout,
-    /// Search space exhausted up to `k_max`: proves `width > k_max`.
+    /// No witness up to `k_max`: proves `width > k_max`, except for the
+    /// one-sided GHD search, where it only means none was found.
     WidthExceeded,
     /// A returned witness failed validation (a solver bug — counted
     /// loudly, never silently).
@@ -107,14 +135,6 @@ impl RunResult {
     }
 }
 
-fn certify_hd(hg: &Hypergraph, d: &Decomposition, k: usize) -> bool {
-    d.width() <= k && validate_hd(hg, d).is_ok()
-}
-
-fn certify_ghd(hg: &Hypergraph, d: &Decomposition, k: usize) -> bool {
-    d.width() <= k && validate_ghd(hg, d).is_ok()
-}
-
 /// Runs `method` on `hg`, searching for the optimal width `≤ k_max` under
 /// a single wall-clock `budget` (as in the paper: "running time necessary
 /// to compute the optimal width decomposition").
@@ -127,76 +147,19 @@ pub fn find_optimal_width(
     let start = Instant::now();
     let ctrl = Control::with_timeout(budget);
     let mut counters: Option<EngineCounters> = None;
-    let outcome = match method {
-        Method::LogK { threads } => {
-            let solver = LogK::parallel(threads);
-            classify_logk(hg, k_max, start, &solver, &ctrl, &mut counters)
-        }
-        Method::LogKHybrid { threads } => {
-            let solver = LogK::hybrid(threads);
-            classify_logk(hg, k_max, start, &solver, &ctrl, &mut counters)
-        }
-        Method::LogKHybridWith {
-            threads,
-            weighted,
-            threshold,
-        } => {
-            let solver = LogK::parallel(threads).with_hybrid(Some(HybridConfig {
-                metric: if weighted {
-                    HybridMetric::WeightedCount
-                } else {
-                    HybridMetric::EdgeCount
-                },
-                threshold: threshold as f64,
-            }));
-            classify_logk(hg, k_max, start, &solver, &ctrl, &mut counters)
-        }
-        Method::DetK => {
-            classify_iterative(hg, k_max, start, |k| detk::decompose_detk(hg, k, &ctrl))
-        }
-        Method::Ghd => {
-            return match ghd::minimal_width_ghd(hg, k_max, &ctrl) {
-                Ok(Some((w, d))) => finish(start, certify_ghd(hg, &d, w), Some(w)),
-                Ok(None) => RunResult {
-                    status: RunStatus::WidthExceeded,
-                    width: None,
-                    time: start.elapsed(),
-                    counters: None,
-                },
-                Err(_) => RunResult {
-                    status: RunStatus::Timeout,
-                    width: None,
-                    time: start.elapsed(),
-                    counters: None,
-                },
-            };
-        }
-        Method::HtdSat => {
-            return match htdsat::optimal_ghw(hg, k_max, &ctrl) {
-                Ok(Some((w, d))) => finish(start, certify_ghd(hg, &d, w), Some(w)),
-                Ok(None) => RunResult {
-                    status: RunStatus::WidthExceeded,
-                    width: None,
-                    time: start.elapsed(),
-                    counters: None,
-                },
-                Err(htdsat::HtdSatError::EncodingTooLarge { .. }) => RunResult {
-                    status: RunStatus::Memout,
-                    width: None,
-                    time: start.elapsed(),
-                    counters: None,
-                },
-                Err(htdsat::HtdSatError::Interrupted(_)) => RunResult {
-                    status: RunStatus::Timeout,
-                    width: None,
-                    time: start.elapsed(),
-                    counters: None,
-                },
-            };
-        }
+    let swept = method.engine().sweep(hg, 1..=k_max, &ctrl, |s| {
+        counters
+            .get_or_insert_with(EngineCounters::default)
+            .absorb(s)
+    });
+    let (status, width) = match swept {
+        Ok(Some((k, Verdict::Hd(_) | Verdict::Ghd(_)))) => (RunStatus::Solved, Some(k)),
+        Ok(Some((_, Verdict::Memout))) => (RunStatus::Memout, None),
+        // A sweep stops on nothing else but an invalid witness.
+        Ok(Some((k, _))) => (RunStatus::InvalidWitness, Some(k)),
+        Ok(None) => (RunStatus::WidthExceeded, None),
+        Err(_) => (RunStatus::Timeout, None),
     };
-    // classify_iterative certifies every witness inline.
-    let (status, width) = outcome;
     RunResult {
         status,
         width,
@@ -205,73 +168,14 @@ pub fn find_optimal_width(
     }
 }
 
-/// [`classify_iterative`] for the `log-k-decomp` methods, additionally
-/// aggregating the engine's search/memoisation/allocation counters.
-fn classify_logk(
-    hg: &Hypergraph,
-    k_max: usize,
-    start: Instant,
-    solver: &LogK,
-    ctrl: &Control,
-    counters: &mut Option<EngineCounters>,
-) -> (RunStatus, Option<usize>) {
-    let agg = counters.get_or_insert_with(EngineCounters::default);
-    classify_iterative(hg, k_max, start, |k| {
-        let (d, stats) = solver.decompose_with_stats(hg, k, ctrl)?;
-        agg.absorb(&stats);
-        Ok(d)
-    })
-}
-
-/// Shared iterate-k-and-classify logic for HD solvers. The closure decides
-/// width ≤ k and returns a witness on success.
-fn classify_iterative(
-    hg: &Hypergraph,
-    k_max: usize,
-    start: Instant,
-    mut decide: impl FnMut(usize) -> Result<Option<Decomposition>, decomp::Interrupted>,
-) -> (RunStatus, Option<usize>) {
-    for k in 1..=k_max {
-        match decide(k) {
-            Ok(Some(d)) => {
-                if certify_hd(hg, &d, k) {
-                    return (RunStatus::Solved, Some(k));
-                }
-                return (RunStatus::InvalidWitness, Some(k));
-            }
-            Ok(None) => continue, // hw > k, proven
-            Err(_) => return (RunStatus::Timeout, None),
-        }
-    }
-    let _ = start;
-    (RunStatus::WidthExceeded, None)
-}
-
-fn finish(start: Instant, valid: bool, width: Option<usize>) -> RunResult {
-    RunResult {
-        status: if valid {
-            RunStatus::Solved
-        } else {
-            RunStatus::InvalidWitness
-        },
-        width,
-        time: start.elapsed(),
-        counters: None,
-    }
-}
-
 /// Decision run for Table 4: does `hw(H) ≤ w` hold? Returns
-/// `Some(true/false)` when determined within the budget, `None` otherwise.
+/// `Some(true/false)` when the method's answer decides it within the
+/// budget, `None` otherwise (timeout, or an answer that proves nothing
+/// about `hw`, such as a one-sided GHD-search miss).
 pub fn decide_width(method: Method, hg: &Hypergraph, w: usize, budget: Duration) -> Option<bool> {
     let ctrl = Control::with_timeout(budget);
-    match method {
-        Method::LogK { threads } => LogK::parallel(threads).decide(hg, w, &ctrl).ok(),
-        Method::LogKHybrid { threads } => LogK::hybrid(threads).decide(hg, w, &ctrl).ok(),
-        Method::LogKHybridWith { threads, .. } => LogK::hybrid(threads).decide(hg, w, &ctrl).ok(),
-        Method::DetK => detk::decide_detk(hg, w, &ctrl).ok(),
-        Method::Ghd => ghd::decompose_ghd(hg, w, &ctrl).ok().map(|d| d.is_some()),
-        Method::HtdSat => htdsat::decide_ghw(hg, w, &ctrl).ok().map(|d| d.is_some()),
-    }
+    let (verdict, _) = method.engine().decide(hg, w, &ctrl).ok()?;
+    verdict.hw_answer().map(|d| d.is_some())
 }
 
 #[cfg(test)]
@@ -338,5 +242,13 @@ mod tests {
             decide_width(Method::LogKHybrid { threads: 1 }, &hg, 2, budget),
             Some(true)
         );
+    }
+
+    #[test]
+    fn ghd_search_miss_decides_nothing() {
+        // The balanced GHD search is one-sided: failing at w = 1 does
+        // not prove hw > 1.
+        let budget = Duration::from_secs(10);
+        assert_eq!(decide_width(Method::Ghd, &cycle(8), 1, budget), None);
     }
 }

@@ -8,7 +8,7 @@
 //! where the timeouts concentrate, how scaling behaves.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use workloads::{hb_large_like, hyperbench_like, CorpusConfig, Instance};
 
@@ -463,7 +463,6 @@ pub fn fig1(cfg: &ReproConfig) -> String {
     }
 
     // Reference: det-k-decomp, single core.
-    let start = Instant::now();
     let mut detk_times = Vec::new();
     let mut detk_timeouts = 0usize;
     for inst in &corpus {
@@ -474,7 +473,6 @@ pub fn fig1(cfg: &ReproConfig) -> String {
             detk_timeouts += 1;
         }
     }
-    let _ = start;
     let s = Stats::from_times(&detk_times);
     let _ = writeln!(
         out,

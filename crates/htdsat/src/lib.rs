@@ -59,57 +59,6 @@ impl std::error::Error for HtdSatError {}
 /// Default clause budget (≈ a few hundred MB of clause storage).
 pub const DEFAULT_CLAUSE_BUDGET: u64 = 3_000_000;
 
-/// Configured SAT-baseline solver — the pooled, `Control`-scoped entry
-/// point symmetric with the other engines' façades (a `LogK`-style
-/// builder with one `decide` call), so an algorithm portfolio can treat
-/// it interchangeably and cancel it within the bounded latency the
-/// interruption suite pins.
-#[derive(Clone, Debug, Default)]
-pub struct HtdSat {
-    clause_budget: Option<u64>,
-    pool: Option<std::sync::Arc<rayon::ThreadPool>>,
-}
-
-impl HtdSat {
-    /// Solver with the default clause budget, running on the caller's
-    /// thread.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Overrides [`DEFAULT_CLAUSE_BUDGET`].
-    pub fn with_clause_budget(mut self, budget: u64) -> Self {
-        self.clause_budget = Some(budget);
-        self
-    }
-
-    /// Runs `decide` calls under `pool` (the encode + CDCL search still
-    /// occupies one worker — the SAT core is sequential — but the solve
-    /// is accounted to the pool like every other engine's, and nested
-    /// parallel constructs would target it).
-    pub fn with_pool(mut self, pool: std::sync::Arc<rayon::ThreadPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Decides `ghw(H) ≤ k` under `ctrl`, returning a witness GHD on
-    /// success. Identical verdict contract to [`decide_ghw`]; the
-    /// control is polled throughout the CDCL search, so cancellation
-    /// latency is bounded exactly as the interruption suite pins it.
-    pub fn decide(
-        &self,
-        hg: &Hypergraph,
-        k: usize,
-        ctrl: &Control,
-    ) -> Result<Option<Decomposition>, HtdSatError> {
-        let budget = self.clause_budget.unwrap_or(DEFAULT_CLAUSE_BUDGET);
-        match &self.pool {
-            Some(pool) => pool.install(|| decide_ghw_with_budget(hg, k, ctrl, budget)),
-            None => decide_ghw_with_budget(hg, k, ctrl, budget),
-        }
-    }
-}
-
 /// Decides `ghw(H) ≤ k`; on success returns a witness GHD.
 pub fn decide_ghw(
     hg: &Hypergraph,

@@ -1,10 +1,18 @@
-//! Algorithm portfolio: every engine in the workspace racing the *same*
-//! `hw(H) ≤ k` question, first definitive verdict wins.
+//! The engine registry, and the algorithm portfolio that races it.
 //!
-//! BalancedGo ships exactly this shape — a solver registry racing its
-//! engines with first-verdict-wins cancellation — and the det-k baseline
-//! is frequently the fastest engine on small-width instances, so racing
-//! it against `log-k-decomp` is a wall-clock win, not redundancy. Each
+//! [`EngineKind`] names every engine in the workspace and [`Engine`] is
+//! one configured engine. [`Engine::decide`] is the only place that
+//! turns an engine identity into a solver call and a raw answer into a
+//! [`Verdict`]; [`Engine::sweep`] iterates it over widths. The `lkd`
+//! CLI, the harness tables and [`Portfolio::race`] all consume it, so
+//! they share one verdict rule.
+//!
+//! A [`Portfolio`] races every engine on the *same* `hw(H) ≤ k`
+//! question, first definitive verdict wins. BalancedGo ships exactly
+//! this shape — a solver registry racing its engines with
+//! first-verdict-wins cancellation — and the det-k baseline is
+//! frequently the fastest engine on small-width instances, so racing it
+//! against `log-k-decomp` is a wall-clock win, not redundancy. Each
 //! racer runs on its own thread under its own [`Control::child`] of the
 //! race control; the moment one produces a **definitive** verdict the
 //! others are cancelled through the child chain (the same kill mechanism
@@ -13,20 +21,17 @@
 //!
 //! # Verdict authority
 //!
-//! The race decides *hypertree width*: `hw(H) ≤ k`. The engines differ
-//! in what their raw answers prove, and the coordinator only accepts
-//! what is actually sound:
+//! The engines differ in what their raw answers prove. Every witness is
+//! validated at width ≤ k before it is classified:
 //!
-//! | engine            | positive answer            | negative answer |
-//! |-------------------|----------------------------|-----------------|
-//! | `logk` (seq/par/hybrid), `detk` | definitive (HD witness) | definitive |
-//! | `ghd`             | definitive *iff* the witness validates as an HD of width ≤ k; otherwise advisory | **advisory** (the balanced-separator search is one-sided: a miss proves nothing) |
-//! | `htdsat`          | definitive *iff* the GHD witness validates as an HD | definitive (`ghw > k` ⇒ `hw > k`, since every HD is a GHD) |
+//! | engine            | witness | no witness |
+//! |-------------------|---------|------------|
+//! | `logk-*`, `detk`  | [`Verdict::Hd`]; [`Verdict::Invalid`] unless it validates as an HD | [`Verdict::Refuted`] |
+//! | `ghd`             | `Hd`, or [`Verdict::Ghd`] when it validates only as a GHD | [`Verdict::Miss`]: the balanced-separator search is one-sided, so a miss proves nothing |
+//! | `htdsat`          | `Hd`, or `Ghd` when it validates only as a GHD | `Refuted` (`ghw > k` ⇒ `hw > k`, since every HD is a GHD); [`Verdict::Memout`] when the encoding exceeds the clause budget |
 //!
-//! Every positive witness — whatever the engine — is re-validated with
-//! [`decomp::validate_hd_width`] before it is allowed to win; a witness
-//! that fails (a GHD violating the special condition) demotes the answer
-//! to advisory rather than corrupting the verdict.
+//! Only `Hd` and `Refuted` answer `hw(H) ≤ k` ([`Verdict::hw_answer`]);
+//! the race counts every other verdict as advisory.
 //!
 //! # Join precedence
 //!
@@ -38,15 +43,16 @@
 //! `portfolio/engine`); the surviving racers' verdict stands.
 
 use std::collections::HashSet;
+use std::ops::RangeInclusive;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use decomp::{validate_hd_width, Control, Decomposition, Interrupted};
+use decomp::{validate_hd_width, Control, Decomposition, Interrupted, Violation};
 use hypergraph::Hypergraph;
-use logk::{LogK, RaceStats, SharedTables};
+use logk::{HybridConfig, LogK, RaceStats, SharedTables, SolveStats};
 
-/// One engine in the portfolio.
+/// One engine in the registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// Sequential Algorithm 2 (`logk`).
@@ -90,6 +96,17 @@ impl EngineKind {
         }
     }
 
+    /// Inverse of [`Self::name`], also accepting the `lkd --method`
+    /// spellings that predate the registry (`logk`, `hybrid`, `sat`).
+    pub fn from_name(name: &str) -> Option<EngineKind> {
+        match name {
+            "logk" => Some(EngineKind::LogkPar),
+            "hybrid" => Some(EngineKind::LogkHybrid),
+            "sat" => Some(EngineKind::HtdSat),
+            _ => Self::ALL.into_iter().find(|e| e.name() == name),
+        }
+    }
+
     /// Stable index into [`Self::ALL`] (doubles as the wire tag).
     pub fn index(self) -> usize {
         Self::ALL.iter().position(|&e| e == self).expect("in ALL")
@@ -107,6 +124,160 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
+/// What one engine's answer at width `k` proves. See the
+/// [module docs](self) for which engine can return which verdict.
+#[derive(Clone, Debug)]
+pub enum Verdict {
+    /// A witness that validates as an HD of width ≤ k: `hw(H) ≤ k`.
+    Hd(Decomposition),
+    /// A witness that validates as a GHD of width ≤ k but not as an HD:
+    /// `ghw(H) ≤ k`, which says nothing about `hw(H) ≤ k`.
+    Ghd(Decomposition),
+    /// A definitive refutation: `hw(H) > k`.
+    Refuted,
+    /// The one-sided GHD search found no witness; proves nothing.
+    Miss,
+    /// The SAT encoding exceeds the clause budget; proves nothing.
+    Memout,
+    /// The witness failed validation (an engine bug); proves nothing.
+    Invalid,
+}
+
+impl Verdict {
+    /// The verdict's answer to `hw(H) ≤ k`: `Some(Some(witness))` when
+    /// proven, `Some(None)` when refuted, `None` when it proves neither.
+    pub fn hw_answer(self) -> Option<Option<Decomposition>> {
+        match self {
+            Verdict::Hd(d) => Some(Some(d)),
+            Verdict::Refuted => Some(None),
+            _ => None,
+        }
+    }
+}
+
+/// One configured engine: its kind, the worker count of the parallel
+/// `logk` kinds, and optional memo tables shared by the `logk` kinds.
+#[derive(Clone, Debug)]
+pub struct Engine {
+    kind: EngineKind,
+    threads: usize,
+    /// Replaces the paper's default handoff policy of `logk-hybrid`.
+    hybrid: Option<HybridConfig>,
+    tables: Option<SharedTables>,
+}
+
+impl Engine {
+    /// `kind` on `threads` pool workers (only the parallel `logk` kinds
+    /// use more than one).
+    pub fn new(kind: EngineKind, threads: usize) -> Self {
+        Engine {
+            kind,
+            threads,
+            hybrid: None,
+            tables: None,
+        }
+    }
+
+    /// `logk-hybrid` with an explicit handoff policy in place of the
+    /// paper's default (Table 2 sweeps metric and threshold).
+    pub fn hybrid_with(threads: usize, policy: HybridConfig) -> Self {
+        Engine {
+            hybrid: Some(policy),
+            ..Self::new(EngineKind::LogkHybrid, threads)
+        }
+    }
+
+    /// Attaches shared memo tables for the `logk` kinds (the striped
+    /// tables are concurrency-safe, so racers warm each other mid-race
+    /// and across races). The pair must apply to the solved instance and
+    /// width — `LogK` enforces this and skips it otherwise.
+    pub fn with_shared_tables(mut self, tables: SharedTables) -> Self {
+        self.tables = Some(tables);
+        self
+    }
+
+    /// Runs the engine at width `k` under `ctrl` and classifies its
+    /// answer (see the [module docs](self)). The `logk` kinds also
+    /// return their search statistics.
+    pub fn decide(
+        &self,
+        hg: &Hypergraph,
+        k: usize,
+        ctrl: &Control,
+    ) -> Result<(Verdict, Option<SolveStats>), Interrupted> {
+        let (witness, stats, no_witness) = match self.kind {
+            EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid => {
+                let (d, stats) = self.logk().decompose_with_stats(hg, k, ctrl)?;
+                (d, Some(stats), Verdict::Refuted)
+            }
+            EngineKind::Detk => (detk::decompose_detk(hg, k, ctrl)?, None, Verdict::Refuted),
+            EngineKind::Ghd => (ghd::decompose_ghd(hg, k, ctrl)?, None, Verdict::Miss),
+            EngineKind::HtdSat => match htdsat::decide_ghw(hg, k, ctrl) {
+                Ok(d) => (d, None, Verdict::Refuted),
+                Err(htdsat::HtdSatError::Interrupted(e)) => return Err(e),
+                Err(htdsat::HtdSatError::EncodingTooLarge { .. }) => {
+                    return Ok((Verdict::Memout, None))
+                }
+            },
+        };
+        let verdict = match witness {
+            None => no_witness,
+            Some(d) => match validate_hd_width(hg, &d, k) {
+                Ok(()) => Verdict::Hd(d),
+                // The width and GHD conditions are checked before the
+                // special condition, so failing only the latter leaves a
+                // GHD of width ≤ k — all the GHD engines promise.
+                Err(Violation::SpecialCondition { .. })
+                    if matches!(self.kind, EngineKind::Ghd | EngineKind::HtdSat) =>
+                {
+                    Verdict::Ghd(d)
+                }
+                Err(_) => Verdict::Invalid,
+            },
+        };
+        Ok((verdict, stats))
+    }
+
+    /// [`Self::decide`] at each width of `widths` in turn, stopping at
+    /// the first verdict that is neither [`Verdict::Refuted`] nor
+    /// [`Verdict::Miss`] and returning it with its width; `None` when
+    /// every width was refuted or missed. `on_stats` sees each solve's
+    /// statistics (the `logk` kinds only).
+    pub fn sweep(
+        &self,
+        hg: &Hypergraph,
+        widths: RangeInclusive<usize>,
+        ctrl: &Control,
+        mut on_stats: impl FnMut(&SolveStats),
+    ) -> Result<Option<(usize, Verdict)>, Interrupted> {
+        for k in widths {
+            let (verdict, stats) = self.decide(hg, k, ctrl)?;
+            if let Some(s) = &stats {
+                on_stats(s);
+            }
+            if !matches!(verdict, Verdict::Refuted | Verdict::Miss) {
+                return Ok(Some((k, verdict)));
+            }
+        }
+        Ok(None)
+    }
+
+    fn logk(&self) -> LogK {
+        let mut solver = match self.kind {
+            EngineKind::LogkSeq => LogK::sequential(),
+            EngineKind::LogkPar => LogK::parallel(self.threads),
+            _ => LogK::hybrid(self.threads),
+        };
+        if let Some(policy) = self.hybrid {
+            solver = solver.with_hybrid(Some(policy));
+        }
+        if let Some(tables) = &self.tables {
+            solver = solver.with_shared_tables(tables.clone());
+        }
+        solver
+    }
+}
+
 /// Result of one portfolio race.
 #[derive(Clone, Debug)]
 pub struct RaceOutcome {
@@ -120,70 +291,37 @@ pub struct RaceOutcome {
     pub stats: RaceStats,
 }
 
-/// A configured engine registry. Build with [`Portfolio::full`] (every
-/// engine the deployment can run) or [`Portfolio::new`] (an explicit
-/// selection), then [`race`](Self::race) instances against it.
+/// The race field for a deployment. Build with [`Portfolio::full`], then
+/// [`race`](Self::race) instances against it.
 #[derive(Clone, Debug)]
 pub struct Portfolio {
-    engines: Vec<EngineKind>,
-    threads: usize,
-    clause_budget: Option<u64>,
-    tables: Option<SharedTables>,
+    engines: Vec<Engine>,
 }
 
 impl Portfolio {
-    /// A portfolio over an explicit engine selection (deduplicated,
-    /// order preserved). An empty selection falls back to
-    /// [`EngineKind::LogkSeq`] so a race always has a complete engine.
-    pub fn new(engines: Vec<EngineKind>) -> Self {
-        let mut seen = HashSet::new();
-        let mut engines: Vec<_> = engines.into_iter().filter(|e| seen.insert(*e)).collect();
-        if engines.is_empty() {
-            engines.push(EngineKind::LogkSeq);
-        }
-        Portfolio {
-            engines,
-            threads: 1,
-            clause_budget: None,
-            tables: None,
-        }
-    }
-
-    /// The full registry for a deployment with `threads` pool workers:
+    /// The full field for a deployment with `threads` pool workers:
     /// `logk` sequential, `detk`, `ghd` and `htdsat` always; the
     /// parallel and hybrid `logk` variants when `threads >= 2` (on one
     /// worker they are the sequential engine plus scheduling tax).
     pub fn full(threads: usize) -> Self {
-        let mut engines = vec![EngineKind::LogkSeq];
+        let mut kinds = vec![EngineKind::LogkSeq];
         if threads >= 2 {
-            engines.push(EngineKind::LogkPar);
-            engines.push(EngineKind::LogkHybrid);
+            kinds.push(EngineKind::LogkPar);
+            kinds.push(EngineKind::LogkHybrid);
         }
-        engines.extend([EngineKind::Detk, EngineKind::Ghd, EngineKind::HtdSat]);
+        kinds.extend([EngineKind::Detk, EngineKind::Ghd, EngineKind::HtdSat]);
+        let threads = threads.max(1);
         Portfolio {
-            threads: threads.max(1),
-            ..Self::new(engines)
+            engines: kinds.into_iter().map(|k| Engine::new(k, threads)).collect(),
         }
     }
 
-    /// The engines that will race, in launch order.
-    pub fn engines(&self) -> &[EngineKind] {
-        &self.engines
-    }
-
-    /// Attaches shared memo tables for the `logk`-family racers (the
-    /// striped tables are concurrency-safe, so racers warm each other
-    /// mid-race and across races). The pair must apply to the raced
-    /// instance and width — `LogK` enforces this and skips it otherwise.
+    /// Attaches shared memo tables for the `logk`-family racers; see
+    /// [`Engine::with_shared_tables`].
     pub fn with_shared_tables(mut self, tables: SharedTables) -> Self {
-        self.tables = Some(tables);
-        self
-    }
-
-    /// Clause budget for the `htdsat` racer (default
-    /// [`htdsat::DEFAULT_CLAUSE_BUDGET`]).
-    pub fn with_clause_budget(mut self, budget: u64) -> Self {
-        self.clause_budget = Some(budget);
+        for engine in &mut self.engines {
+            engine.tables = Some(tables.clone());
+        }
         self
     }
 
@@ -199,25 +337,23 @@ impl Portfolio {
         let mut interrupted: Option<Interrupted> = None;
 
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, EngineVerdict)>();
+            // `None` reports a racer that panicked (contained on its thread).
+            let (tx, rx) = mpsc::channel::<(usize, Option<Result<Verdict, Interrupted>>)>();
             let mut killed: HashSet<usize> = HashSet::new();
             let mut children: Vec<Arc<Control>> = Vec::with_capacity(self.engines.len());
-            for (i, &kind) in self.engines.iter().enumerate() {
+            for (i, engine) in self.engines.iter().enumerate() {
                 decomp::faults::hit_ctrl("portfolio/spawn", ctrl);
                 let child = race_root.child();
                 let tx = tx.clone();
                 let engine_ctrl = Arc::clone(&child);
                 children.push(child);
                 stats.probes += 1;
-                let runner = self.clone();
                 scope.spawn(move || {
-                    let msg = match panic::catch_unwind(AssertUnwindSafe(|| {
+                    let msg = panic::catch_unwind(AssertUnwindSafe(|| {
                         decomp::faults::hit_ctrl("portfolio/engine", &engine_ctrl);
-                        runner.run_engine(kind, hg, k, &engine_ctrl)
-                    })) {
-                        Ok(v) => v,
-                        Err(_) => EngineVerdict::Panicked,
-                    };
+                        engine.decide(hg, k, &engine_ctrl).map(|(v, _)| v)
+                    }))
+                    .ok();
                     let _ = tx.send((i, msg));
                 });
             }
@@ -231,9 +367,9 @@ impl Portfolio {
                 decomp::faults::hit_ctrl("portfolio/join", ctrl);
                 let was_killed = killed.contains(&i);
                 match msg {
-                    EngineVerdict::Definitive(answer) => {
-                        if verdict.is_none() {
-                            verdict = Some((self.engines[i], answer));
+                    Some(Ok(v)) => match v.hw_answer() {
+                        Some(answer) if verdict.is_none() => {
+                            verdict = Some((self.engines[i].kind, answer));
                             // First definitive verdict: the rest of the
                             // field is redundant — kill it now.
                             for (j, child) in children.iter().enumerate() {
@@ -241,19 +377,18 @@ impl Portfolio {
                                     child.cancel();
                                 }
                             }
-                        } else {
-                            stats.speculative_wasted += 1;
                         }
-                    }
-                    EngineVerdict::Advisory => stats.speculative_wasted += 1,
-                    EngineVerdict::Interrupted(e) => {
+                        // A later definitive verdict, or an advisory one.
+                        _ => stats.speculative_wasted += 1,
+                    },
+                    Some(Err(e)) => {
                         if was_killed {
                             stats.race_cancels += 1;
                         } else {
                             interrupted = Some(e);
                         }
                     }
-                    EngineVerdict::Panicked => {}
+                    None => {}
                 }
             }
         });
@@ -275,91 +410,6 @@ impl Portfolio {
             },
         }
     }
-
-    /// Runs one engine to its (classified) verdict. See the module docs
-    /// for which raw answers are definitive.
-    fn run_engine(
-        &self,
-        kind: EngineKind,
-        hg: &Hypergraph,
-        k: usize,
-        ctrl: &Arc<Control>,
-    ) -> EngineVerdict {
-        let logk_with = |mut solver: LogK| {
-            if let Some(tables) = &self.tables {
-                solver = solver.with_shared_tables(tables.clone());
-            }
-            classify_exact(solver.decompose(hg, k, ctrl), hg, k)
-        };
-        match kind {
-            EngineKind::LogkSeq => logk_with(LogK::sequential()),
-            EngineKind::LogkPar => logk_with(LogK::parallel(self.threads)),
-            EngineKind::LogkHybrid => logk_with(LogK::hybrid(self.threads)),
-            EngineKind::Detk => classify_exact(detk::decompose_detk(hg, k, ctrl), hg, k),
-            EngineKind::Ghd => match ghd::decompose_ghd(hg, k, ctrl) {
-                // One-sided search: only an HD-validating witness is
-                // definitive, and a miss proves nothing at all.
-                Ok(Some(d)) if validate_hd_width(hg, &d, k).is_ok() => {
-                    EngineVerdict::Definitive(Some(d))
-                }
-                Ok(_) => EngineVerdict::Advisory,
-                Err(e) => EngineVerdict::Interrupted(e),
-            },
-            EngineKind::HtdSat => {
-                let solver = match self.clause_budget {
-                    Some(b) => htdsat::HtdSat::new().with_clause_budget(b),
-                    None => htdsat::HtdSat::new(),
-                };
-                match solver.decide(hg, k, ctrl) {
-                    Ok(Some(d)) if validate_hd_width(hg, &d, k).is_ok() => {
-                        EngineVerdict::Definitive(Some(d))
-                    }
-                    // A GHD-only witness proves ghw ≤ k, not hw ≤ k.
-                    Ok(Some(_)) => EngineVerdict::Advisory,
-                    // Unsat: ghw > k, hence hw > k — definitive.
-                    Ok(None) => EngineVerdict::Definitive(None),
-                    Err(htdsat::HtdSatError::Interrupted(e)) => EngineVerdict::Interrupted(e),
-                    Err(htdsat::HtdSatError::EncodingTooLarge { .. }) => EngineVerdict::Advisory,
-                }
-            }
-        }
-    }
-}
-
-/// Classifies an exact-hw engine's raw answer (`logk`, `detk`): both
-/// polarities are definitive; positive witnesses are still re-validated
-/// in depth as defence against an engine bug corrupting a race verdict.
-fn classify_exact(
-    res: Result<Option<Decomposition>, Interrupted>,
-    hg: &Hypergraph,
-    k: usize,
-) -> EngineVerdict {
-    match res {
-        Ok(Some(d)) => {
-            debug_assert!(validate_hd_width(hg, &d, k).is_ok());
-            if validate_hd_width(hg, &d, k).is_ok() {
-                EngineVerdict::Definitive(Some(d))
-            } else {
-                EngineVerdict::Advisory
-            }
-        }
-        Ok(None) => EngineVerdict::Definitive(None),
-        Err(e) => EngineVerdict::Interrupted(e),
-    }
-}
-
-/// What one racer reported.
-enum EngineVerdict {
-    /// A sound answer to `hw(H) ≤ k` (witness already HD-validated).
-    Definitive(Option<Decomposition>),
-    /// The engine finished but proved nothing about hw (one-sided miss,
-    /// GHD-only witness, encoding memout).
-    Advisory,
-    /// The engine's control fired (its own, the race cancelling it, or
-    /// the overall deadline).
-    Interrupted(Interrupted),
-    /// The engine panicked; contained on its thread.
-    Panicked,
 }
 
 /// Cancels the race's intermediate control when dropped, so no racer
@@ -408,16 +458,52 @@ mod tests {
     }
 
     #[test]
-    fn engine_kind_indices_round_trip() {
+    fn engine_kind_indices_and_names_round_trip() {
         for e in EngineKind::ALL {
             assert_eq!(EngineKind::from_index(e.index()), Some(e));
+            assert_eq!(EngineKind::from_name(e.name()), Some(e));
         }
         assert_eq!(EngineKind::from_index(EngineKind::ALL.len()), None);
+        assert_eq!(EngineKind::from_name("bogus"), None);
     }
 
+    /// Pins the verdict-authority table of the module docs on an
+    /// instance of hw = ghw = 2.
     #[test]
-    fn empty_selection_falls_back_to_a_complete_engine() {
-        let p = Portfolio::new(vec![]);
-        assert_eq!(p.engines(), &[EngineKind::LogkSeq]);
+    fn every_engine_classifies_as_documented() {
+        let hg = families::cycle(12);
+        let ctrl = Control::unlimited();
+        for kind in EngineKind::ALL {
+            let engine = Engine::new(kind, 2);
+            let decide = |k| engine.decide(&hg, k, &ctrl).expect("unlimited");
+            let (below, _) = decide(1);
+            let (at, stats) = decide(2);
+            let logk = matches!(
+                kind,
+                EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid
+            );
+            assert_eq!(stats.is_some(), logk, "{kind}");
+            if kind == EngineKind::Ghd {
+                // The balanced rooted search needs width 3 on this cycle:
+                // it misses at the true width too, which is why a miss
+                // may never count as a refutation.
+                assert!(matches!(below, Verdict::Miss), "{kind}: {below:?}");
+                assert!(matches!(at, Verdict::Miss), "{kind}: {at:?}");
+                let (above, _) = decide(3);
+                assert!(matches!(above, Verdict::Hd(_) | Verdict::Ghd(_)), "{kind}");
+                continue;
+            }
+            assert!(matches!(below, Verdict::Refuted), "{kind}: {below:?}");
+            match at {
+                Verdict::Hd(d) => assert!(validate_hd_width(&hg, &d, 2).is_ok(), "{kind}"),
+                Verdict::Ghd(d) if kind == EngineKind::HtdSat => {
+                    assert!(
+                        decomp::validate_ghd(&hg, &d).is_ok() && d.width() <= 2,
+                        "{kind}"
+                    )
+                }
+                other => panic!("{kind}: {other:?}"),
+            }
+        }
     }
 }

@@ -1,26 +1,32 @@
 //! `lkd` — command-line hypertree decomposition tool.
 //!
 //! ```text
-//! lkd decompose <file> [--k=N] [--method=hybrid|logk|detk|ghd|sat]
-//!                      [--threads=N] [--timeout-ms=N] [--pace] [--width-only]
+//! lkd decompose <file> [--k=N] [--method=ENGINE] [--threads=N]
+//!                      [--timeout-ms=N] [--pace] [--width-only]
 //! lkd stats <file> [--pace]
 //! ```
 //!
 //! `decompose` computes an optimal-width decomposition (searching k = 1…10
 //! unless `--k` fixes it) and prints the certified tree; `stats` reports
 //! hypergraph measures including α-acyclicity.
+//!
+//! `ENGINE` is any name of the `portfolio` engine registry
+//! (`logk-seq`, `logk-par`, `logk-hybrid`, `detk`, `ghd`, `htdsat`) or
+//! one of the older spellings `hybrid` (the default), `logk` and `sat`.
+//! The registry runs the engine and validates its witness; the GHD
+//! engines (`ghd`, `htdsat`) may print a GHD that is not an HD.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use decomp::{validate_ghd, validate_hd, Control, Decomposition};
+use decomp::Control;
 use hypergraph::{is_acyclic, parse_hyperbench, parse_pace, Hypergraph};
-use logk::LogK;
+use portfolio::{Engine, EngineKind, Verdict};
 
 struct Opts {
     file: Option<String>,
     k: Option<usize>,
-    method: String,
+    method: EngineKind,
     threads: usize,
     timeout: Option<Duration>,
     pace: bool,
@@ -31,7 +37,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut o = Opts {
         file: None,
         k: None,
-        method: "hybrid".into(),
+        method: EngineKind::LogkHybrid,
         threads: std::thread::available_parallelism().map_or(2, |n| n.get()),
         timeout: None,
         pace: false,
@@ -45,7 +51,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             o.k = Some(k);
         } else if let Some(v) = a.strip_prefix("--method=") {
-            o.method = v.to_string();
+            o.method = EngineKind::from_name(v).ok_or_else(|| format!("unknown method {v}"))?;
         } else if let Some(v) = a.strip_prefix("--threads=") {
             o.threads = v.parse().map_err(|e| format!("--threads: {e}"))?;
         } else if let Some(v) = a.strip_prefix("--timeout-ms=") {
@@ -83,48 +89,27 @@ fn decompose(o: &Opts) -> Result<(), String> {
         Some(t) => Control::with_timeout(t),
         None => Control::unlimited(),
     };
-    let k_range = o.k.map(|k| (k, k)).unwrap_or((1, 10));
-
-    let solve = |k: usize| -> Result<Option<Decomposition>, String> {
-        match o.method.as_str() {
-            "hybrid" => LogK::hybrid(o.threads)
-                .decompose(&hg, k, &ctrl)
-                .map_err(|e| e.to_string()),
-            "logk" => LogK::parallel(o.threads)
-                .decompose(&hg, k, &ctrl)
-                .map_err(|e| e.to_string()),
-            "detk" => detk::decompose_detk(&hg, k, &ctrl).map_err(|e| e.to_string()),
-            "ghd" => ghd::decompose_ghd(&hg, k, &ctrl).map_err(|e| e.to_string()),
-            "sat" => htdsat::decide_ghw(&hg, k, &ctrl).map_err(|e| e.to_string()),
-            other => Err(format!("unknown method {other}")),
-        }
-    };
-
-    for k in k_range.0..=k_range.1 {
-        match solve(k)? {
-            None => continue,
-            Some(d) => {
-                // Certify before reporting.
-                let valid = match o.method.as_str() {
-                    "ghd" | "sat" => validate_ghd(&hg, &d).is_ok(),
-                    _ => validate_hd(&hg, &d).is_ok(),
-                };
-                if !valid {
-                    return Err("internal error: witness failed validation".into());
-                }
-                println!("width: {}", d.width());
-                if !o.width_only {
-                    println!("nodes: {}  depth: {}", d.num_nodes(), d.depth());
-                    print!("{}", d.render(&hg));
-                }
-                return Ok(());
+    let widths = o.k.map_or(1..=10, |k| k..=k);
+    let swept = Engine::new(o.method, o.threads)
+        .sweep(&hg, widths, &ctrl, |_| {})
+        .map_err(|e| e.to_string())?;
+    match swept {
+        Some((_, Verdict::Hd(d) | Verdict::Ghd(d))) => {
+            println!("width: {}", d.width());
+            if !o.width_only {
+                println!("nodes: {}  depth: {}", d.num_nodes(), d.depth());
+                print!("{}", d.render(&hg));
             }
+            Ok(())
         }
+        Some((_, Verdict::Memout)) => Err("SAT encoding exceeds the clause budget".into()),
+        // A sweep stops on nothing else but an invalid witness.
+        Some(_) => Err("internal error: witness failed validation".into()),
+        None => Err(match o.k {
+            Some(k) => format!("no decomposition of width <= {k}"),
+            None => "no decomposition of width <= 10 found".into(),
+        }),
     }
-    Err(match o.k {
-        Some(k) => format!("no decomposition of width <= {k}"),
-        None => "no decomposition of width <= 10 found".into(),
-    })
 }
 
 fn stats(o: &Opts) -> Result<(), String> {

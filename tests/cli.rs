@@ -91,7 +91,9 @@ fn pace_input_is_accepted() {
 #[test]
 fn alternative_methods_agree() {
     let f = write_temp("lkd_cli_methods.hg", "r1(x,y), r2(y,z), r3(z,w), r4(w,x).");
-    for method in ["hybrid", "logk", "detk", "ghd", "sat"] {
+    // Every registry name, then the older spellings `lkd` still accepts.
+    let canonical = portfolio::EngineKind::ALL.map(|e| e.name());
+    for method in canonical.into_iter().chain(["hybrid", "logk", "sat"]) {
         let out = lkd()
             .args([
                 "decompose",
@@ -115,4 +117,15 @@ fn alternative_methods_agree() {
 fn unknown_flags_are_rejected() {
     let out = lkd().args(["decompose", "--bogus"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn unknown_method_is_a_usage_error() {
+    let f = write_temp("lkd_cli_bogus.hg", "a(x,y), b(y,z).");
+    let out = lkd()
+        .args(["decompose", f.to_str().unwrap(), "--method=bogus"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown method bogus"));
 }
