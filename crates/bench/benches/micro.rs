@@ -509,9 +509,8 @@ fn bench_race(c: &mut Criterion) {
     for (name, hg, k_max, budget, port_k) in &fams {
         for (mode, spec) in [("sweep_seq", 1usize), ("sweep_spec2", 2)] {
             let ctrl = Arc::new(Control::unlimited());
-            let b = logk::width_bounds_racing(hg, *k_max, &ctrl, *budget, spec, |_| {
-                LogK::sequential()
-            });
+            let b =
+                logk::width_bounds_racing(hg, *k_max, &ctrl, *budget, spec, |_| LogK::sequential());
             eprintln!(
                 "micro/race {name}_{mode}: bounds=[{}, {:?}] witness={} \
                  probes={} race_cancels={} speculative_wasted={}",

@@ -278,14 +278,13 @@ pub fn width_bounds_racing(
                     // Everything fallible — the fault site included —
                     // runs inside the containment boundary, so a probe
                     // always reports and the coordinator never hangs.
-                    let msg =
-                        match panic::catch_unwind(AssertUnwindSafe(|| {
-                            decomp::faults::hit_ctrl("logk/race/probe", &probe_ctrl);
-                            solver.decompose(hg, k, &probe_ctrl)
-                        })) {
-                            Ok(verdict) => ProbeMsg::Verdict(verdict),
-                            Err(_) => ProbeMsg::Panicked,
-                        };
+                    let msg = match panic::catch_unwind(AssertUnwindSafe(|| {
+                        decomp::faults::hit_ctrl("logk/race/probe", &probe_ctrl);
+                        solver.decompose(hg, k, &probe_ctrl)
+                    })) {
+                        Ok(verdict) => ProbeMsg::Verdict(verdict),
+                        Err(_) => ProbeMsg::Panicked,
+                    };
                     let _ = tx.send((k, msg));
                 });
             }

@@ -46,9 +46,7 @@ use std::time::{Duration, Instant};
 
 use decomp::{Control, Decomposition, Interrupted};
 use hypergraph::Hypergraph;
-use logk::{
-    LogK, SharedTables, Variant, WidthBounds, DEFAULT_CACHE_BYTES, DEFAULT_DETK_CACHE_CAP,
-};
+use logk::{LogK, SharedTables, Variant, WidthBounds, DEFAULT_CACHE_BYTES, DEFAULT_DETK_CACHE_CAP};
 use portfolio::{EngineKind, Portfolio};
 use rayon::ThreadPool;
 

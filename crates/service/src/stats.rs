@@ -187,7 +187,8 @@ impl std::fmt::Display for ServiceStats {
                 let mut wins = String::new();
                 for (i, &n) in self.races_won_by.iter().enumerate() {
                     if n > 0 {
-                        let kind = portfolio::EngineKind::from_index(i).expect("array is sized by COUNT");
+                        let kind =
+                            portfolio::EngineKind::from_index(i).expect("array is sized by COUNT");
                         wins.push_str(&format!("; {} x{}", kind.name(), n));
                     }
                 }

@@ -348,7 +348,10 @@ fn duplicates_coalesce_onto_delayed_leader() {
     let stats = server.shutdown();
     assert_eq!(stats.admitted, 4, "{stats}");
     assert_eq!(stats.completed, 4, "{stats}");
-    assert_eq!(stats.coalesced, 3, "one solve, three shared replies: {stats}");
+    assert_eq!(
+        stats.coalesced, 3,
+        "one solve, three shared replies: {stats}"
+    );
     faults::reset();
 }
 

@@ -36,11 +36,12 @@ const LATENCY: Duration = Duration::from_secs(3);
 fn assert_race_matches_sequential(name: &str, hg: &hypergraph::Hypergraph, k_max: usize) {
     let ctrl = Arc::new(Control::unlimited());
     let seq = width_bounds_with(hg, k_max, &ctrl, None, |_| LogK::sequential());
-    assert!(seq.interrupted.is_none(), "{name}: sequential sweep interrupted");
+    assert!(
+        seq.interrupted.is_none(),
+        "{name}: sequential sweep interrupted"
+    );
     for speculation in [2usize, 3] {
-        let race = width_bounds_racing(hg, k_max, &ctrl, None, speculation, |_| {
-            LogK::sequential()
-        });
+        let race = width_bounds_racing(hg, k_max, &ctrl, None, speculation, |_| LogK::sequential());
         assert_eq!(
             race.proven_lower, seq.proven_lower,
             "{name} spec{speculation}: lower bounds disagree"
@@ -49,7 +50,11 @@ fn assert_race_matches_sequential(name: &str, hg: &hypergraph::Hypergraph, k_max
             race.best_upper, seq.best_upper,
             "{name} spec{speculation}: upper bounds disagree"
         );
-        assert_eq!(race.exact(), seq.exact(), "{name} spec{speculation}: exactness");
+        assert_eq!(
+            race.exact(),
+            seq.exact(),
+            "{name} spec{speculation}: exactness"
+        );
         assert!(
             race.interrupted.is_none(),
             "{name} spec{speculation}: uninterrupted sweep reported {:?}",
@@ -93,7 +98,9 @@ fn wide_corpus_race_matches_sequential() {
     let corpus = wide_corpus(WideConfig::default());
     let mut checked = 0usize;
     for inst in &corpus {
-        let Some(upper) = inst.width_upper else { continue };
+        let Some(upper) = inst.width_upper else {
+            continue;
+        };
         let k_max = (upper + 1).min(4);
         assert_race_matches_sequential(&inst.name, &inst.hg, k_max);
         checked += 1;
@@ -109,7 +116,11 @@ fn race_with_parallel_probes_matches_sequential() {
     for (name, hg, k_max) in [
         ("grid4x4", families::grid(4, 4), 4usize),
         ("band_cycle80", families::band_cycle(80, 4, 2), 3),
-        ("multi_component", families::disjoint_union(&[families::grid(3, 3), families::cycle(12)]), 3),
+        (
+            "multi_component",
+            families::disjoint_union(&[families::grid(3, 3), families::cycle(12)]),
+            3,
+        ),
     ] {
         let ctrl = Arc::new(Control::unlimited());
         let seq = width_bounds_with(&hg, k_max, &ctrl, None, |_| LogK::sequential());
