@@ -32,12 +32,16 @@
 //!   share one lock-striped memo table ([`detk::SharedMemo`]) the same
 //!   way, instead of rebuilding a private table per handoff.
 //!
-//! Parallelisation follows Appendix D.1: the λc search space is partitioned
-//! by lead edge and raced across the work-stealing pool by recursive
-//! [`rayon::join`] splitting of the lead range — idle workers steal the
-//! published halves, so the wildly uneven per-lead subtree costs balance
-//! themselves — and sibling branches are pruned (early-cancelled at every
-//! split and poll point) as soon as one candidate succeeds. Special
+//! The λc search space is partitioned by lead edge, as in Appendix D.1,
+//! and walked lead by lead at every depth and in every variant: the leads
+//! of one `ChildLoop` run in order on the level's own arena and scratch,
+//! or — inside the racing depths, on a pool with more than one worker —
+//! race across the work-stealing pool by recursive [`rayon::join`]
+//! splitting of the lead range. Idle workers steal the published halves,
+//! so the wildly uneven per-lead subtree costs balance themselves, and
+//! sibling branches are pruned (early-cancelled at every split and poll
+//! point) as soon as one candidate succeeds. So `LogK::sequential()` and
+//! a 1-worker `LogK::parallel(1)` run the same search. Special
 //! edges are arena-allocated with
 //! stack discipline: a `Decomp` call restores the arena to its entry length
 //! before returning, so a returned fragment only ever references special
@@ -189,8 +193,9 @@ pub struct HybridConfig {
 pub struct EngineConfig {
     /// Width bound `k ≥ 1`.
     pub k: usize,
-    /// Recursion depths `< parallel_depth` race the λc search across the
-    /// current rayon pool; `0` disables parallelism.
+    /// Recursion depths `< parallel_depth` race the λc leads across the
+    /// current rayon pool when it has more than one worker; `0` disables
+    /// parallelism.
     pub parallel_depth: usize,
     /// Hybrid handoff policy, if any.
     pub hybrid: Option<HybridConfig>,
@@ -300,19 +305,27 @@ impl Prune<'_> {
     }
 }
 
-/// Shared, read-only context of one parallel λc race (see
-/// [`LogKEngine::child_loop_parallel`]): the sealed arena and subproblem
-/// inputs every branch starts from, plus the race's cancellation flag and
-/// first-winner result slot. Borrowed by every `join` branch of the
-/// recursive lead split.
-struct LeadRace<'a> {
-    arena: &'a SpecialArena,
+/// Read-only inputs of one `ChildLoop`: the subproblem, its connector,
+/// allowed edges and depth, `V(H')`, and the λc candidates in lead
+/// order. Every lead walk of the loop reads them, inline or raced.
+#[derive(Clone, Copy)]
+struct LevelInputs<'a> {
     sub: &'a Subproblem,
     conn: &'a VertexSet,
     allowed: &'a Arc<EdgeSet>,
     depth: usize,
     vsub: &'a VertexSet,
     cands: &'a [Edge],
+}
+
+/// Shared, read-only context of one parallel λc race (see
+/// [`LogKEngine::child_loop_parallel`]): the sealed arena and level
+/// inputs every branch starts from, plus the race's cancellation flag and
+/// first-winner result slot. Borrowed by every `join` branch of the
+/// recursive lead split.
+struct LeadRace<'a> {
+    arena: &'a SpecialArena,
+    level: LevelInputs<'a>,
     race: &'a Prune<'a>,
     won: &'a AtomicBool,
     slot: &'a std::sync::Mutex<Option<Result<Fragment, Stop>>>,
@@ -1184,8 +1197,13 @@ impl<'h> LogKEngine<'h> {
         result
     }
 
-    /// `ChildLoop` (Algorithm 2, lines 11–44): enumerate λc candidates,
-    /// sequentially or raced across the rayon pool.
+    /// `ChildLoop` (Algorithm 2, lines 11–44): enumerate λc candidates
+    /// lead by lead ([`Self::walk_lead`]). Inside the racing depths, with
+    /// more than one candidate and more than one pool worker, the leads
+    /// race across the pool ([`Self::child_loop_parallel`]) — the same
+    /// gate shape as `split_siblings`. Otherwise they run in order on
+    /// this level's own arena and scratch: no seal, no branch arena, no
+    /// pooled branch scratch, and one λp memo shared by every lead.
     #[allow(clippy::too_many_arguments)]
     fn child_loop(
         &self,
@@ -1219,19 +1237,25 @@ impl<'h> LogKEngine<'h> {
         cands.sort_unstable_by_key(|&e| self.edge_rank[e.0 as usize]);
         ctx.meters.bump_grow(cands.capacity() > cands_cap);
 
+        let level = LevelInputs {
+            sub,
+            conn,
+            allowed,
+            depth,
+            vsub,
+            cands,
+        };
         let checkpoint = arena.len();
-        let result = if depth < self.cfg.parallel_depth && cands.len() > 1 {
+        let result = if depth < self.cfg.parallel_depth
+            && cands.len() > 1
+            && rayon::current_num_threads() > 1
+        {
             // Seal once so every branch checkpoint is an Arc bump.
             arena.seal();
-            self.child_loop_parallel(arena, sub, conn, allowed, depth, prune, vsub, cands)
+            self.child_loop_parallel(arena, level, prune)
         } else {
-            let lam_cap = lam_buf.capacity();
-            let found = for_each_subset_in(cands, self.cfg.k, lam_buf, |lam_c| {
-                self.try_child(
-                    arena, sub, conn, allowed, depth, prune, vsub, cands, lam_c, &mut ctx,
-                )
-            });
-            ctx.meters.bump_grow(lam_buf.capacity() > lam_cap);
+            let found = (0..cands.len())
+                .find_map(|lead| self.walk_lead(arena, &level, prune, lead, lam_buf, &mut ctx));
             match found {
                 Some(Ok(f)) => Ok(Some(f)),
                 Some(Err(e)) => Err(e),
@@ -1245,31 +1269,20 @@ impl<'h> LogKEngine<'h> {
         result
     }
 
-    /// Races the λc search space across the work-stealing pool,
-    /// partitioned by the lead candidate index — the partitioning scheme
-    /// of Appendix D.1 — via recursive [`rayon::join`] splitting: the
-    /// lead range is halved until single leads remain, each split's right
-    /// half published for idle workers to steal. Balanced splitting is
-    /// what lets the pool absorb the wildly uneven per-lead subtree costs
-    /// (an early lead can exhaust a huge subset space while a later one
-    /// succeeds instantly); the old single atomic hand-out counter
-    /// serialised exactly there. Early-cancel: every split and every
-    /// branch polls the [`Prune`] chain, so subtrees not yet started are
-    /// dropped as soon as a sibling wins.
+    /// Races the leads of `cands` across the work-stealing pool
+    /// ([`Self::race_leads`]), each lead one branch ([`Self::try_lead`])
+    /// on a private arena checkpoint and pooled scratch. Only entered on
+    /// pools with more than one worker (see [`Self::child_loop`]). The
+    /// first success wins; an external interruption is reported unless a
+    /// success raced ahead of it.
     ///
     /// The caller has sealed `arena`, so each branch's checkpoint shares
     /// the immutable prefix instead of deep-copying it.
-    #[allow(clippy::too_many_arguments)]
     fn child_loop_parallel(
         &self,
         arena: &SpecialArena,
-        sub: &Subproblem,
-        conn: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-        depth: usize,
+        level: LevelInputs<'_>,
         prune: Option<&Prune<'_>>,
-        vsub: &VertexSet,
-        cands: &[Edge],
     ) -> FragResult {
         let won = AtomicBool::new(false);
         let race = Prune {
@@ -1279,29 +1292,12 @@ impl<'h> LogKEngine<'h> {
         let slot: std::sync::Mutex<Option<Result<Fragment, Stop>>> = std::sync::Mutex::new(None);
         let ctx = LeadRace {
             arena,
-            sub,
-            conn,
-            allowed,
-            depth,
-            vsub,
-            cands,
+            level,
             race: &race,
             won: &won,
             slot: &slot,
         };
-        if rayon::current_num_threads() <= 1 {
-            // Degenerate 1-worker pool: same branch bodies, no joins —
-            // the split tree would only add push/pop traffic nobody can
-            // steal from.
-            for lead in 0..cands.len() {
-                if ctx.race.is_set() {
-                    break;
-                }
-                self.try_lead(lead, &ctx);
-            }
-        } else {
-            self.race_leads(0, cands.len(), &ctx);
-        }
+        self.race_leads(0, level.cands.len(), &ctx);
         match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
             Some(Ok(frag)) => Ok(Some(frag)),
             Some(Err(e)) => Err(e), // external interruption, first reporter wins
@@ -1316,11 +1312,15 @@ impl<'h> LogKEngine<'h> {
         }
     }
 
-    /// Binary `join` split over the lead range `[lo, hi)`. Left half runs
-    /// on the current worker; the right half goes on its deque for
-    /// thieves (and is popped back for inline execution when nobody
-    /// stole it — the sequential degenerate costs one push/pop per
-    /// level, no threads).
+    /// Binary [`rayon::join`] split over the lead range `[lo, hi)`,
+    /// halved until single leads remain. The left half runs on the current
+    /// worker; the right half goes on its deque for thieves (and is popped
+    /// back for inline execution when nobody stole it). Balanced splitting
+    /// is what lets the pool absorb the wildly uneven per-lead subtree
+    /// costs: an early lead can exhaust a huge subset space while a later
+    /// one succeeds instantly. Early-cancel: every split and every branch
+    /// polls the [`Prune`] chain, so subtrees not yet started are dropped
+    /// as soon as a sibling wins.
     fn race_leads(&self, lo: usize, hi: usize, ctx: &LeadRace<'_>) {
         if ctx.race.is_set() {
             return;
@@ -1336,18 +1336,53 @@ impl<'h> LogKEngine<'h> {
         );
     }
 
-    /// One branch of the λc race: enumerates every λc whose minimal
-    /// member is `cands[lead]`, on branch-private arena and scratch.
+    /// One branch of the λc race: walks `lead` ([`Self::walk_lead`]) on a
+    /// branch-private arena checkpoint and scratch bundle, with its own
+    /// λp memo.
     fn try_lead(&self, lead: usize, ctx: &LeadRace<'_>) {
-        if ctx.race.is_set() {
-            return;
-        }
         let mut branch_arena = ctx.arena.clone();
         self.stats
             .arena_branch_clones
             .fetch_add(1, Ordering::Relaxed);
-        // Reuse a warm scratch bundle from the engine pool; allocate
-        // only when every warm bundle is in use by a sibling branch.
+        let found = self.with_branch_scratch(|stack, lvl| {
+            // The branch enumerates the caller's (sealed-level) `vsub` and
+            // `cands`; its own enumeration buffers serve only the subset
+            // walk. Its λp memo is branch-local and keyed per subproblem.
+            lvl.lp_memo.clear();
+            let (mut cctx, bufs) = lvl.split(stack);
+            self.walk_lead(
+                &mut branch_arena,
+                &ctx.level,
+                Some(ctx.race),
+                lead,
+                bufs.lam_buf,
+                &mut cctx,
+            )
+        });
+        match found {
+            // A sibling won, an outer race ended, or the lead is exhausted.
+            Some(Err(Stop::Pruned)) | None => {}
+            // A success or an external interruption ends the race; the
+            // first reporter keeps the slot.
+            Some(outcome) => {
+                let mut slot = ctx.slot.lock().unwrap_or_else(|e| e.into_inner());
+                if slot.is_none() {
+                    *slot = Some(outcome);
+                }
+                drop(slot);
+                ctx.won.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Runs `f` on a warm scratch bundle from the engine pool — allocating
+    /// one only when every warm bundle is in use by a sibling branch —
+    /// then folds the bundle's new meter counts into the statistics and
+    /// returns it to the pool.
+    fn with_branch_scratch<R>(
+        &self,
+        f: impl FnOnce(&mut ScratchStack, &mut LevelScratch) -> R,
+    ) -> R {
         let recycled = self
             .branch_pool
             .lock()
@@ -1357,55 +1392,7 @@ impl<'h> LogKEngine<'h> {
             self.stats.scratch_allocs.fetch_add(1, Ordering::Relaxed);
             BranchScratch::default()
         });
-        let BranchScratch {
-            stack: branch_stack,
-            lvl,
-            reported: _,
-        } = &mut branch;
-        // The branch enumerates the caller's (sealed-level) `vsub` and
-        // `cands`; its own enumeration buffers serve only the subset
-        // walk. Its λp memo is branch-local and keyed per subproblem.
-        lvl.lp_memo.clear();
-        let (mut cctx, bufs) = lvl.split(branch_stack);
-        let lam_cap = bufs.lam_buf.capacity();
-        let found =
-            for_each_subset_with_lead_in(ctx.cands, lead, self.cfg.k, bufs.lam_buf, |lam_c| {
-                self.try_child(
-                    &mut branch_arena,
-                    ctx.sub,
-                    ctx.conn,
-                    ctx.allowed,
-                    ctx.depth,
-                    Some(ctx.race),
-                    ctx.vsub,
-                    ctx.cands,
-                    lam_c,
-                    &mut cctx,
-                )
-            });
-        cctx.meters.bump_grow(bufs.lam_buf.capacity() > lam_cap);
-        match found {
-            Some(Ok(frag)) => {
-                let mut slot = ctx.slot.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(Ok(frag));
-                }
-                drop(slot);
-                ctx.won.store(true, Ordering::Relaxed);
-            }
-            Some(Err(Stop::Pruned)) => {} // a sibling won or an outer race ended
-            Some(Err(e @ Stop::External(_))) => {
-                // Interruption: report it (unless a success raced ahead)
-                // and cancel the remaining branches.
-                let mut slot = ctx.slot.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(Err(e));
-                }
-                drop(slot);
-                ctx.won.store(true, Ordering::Relaxed);
-            }
-            None => {}
-        }
+        let out = f(&mut branch.stack, &mut branch.lvl);
         let totals = branch.totals();
         self.fold_meters(totals - branch.reported);
         branch.reported = totals;
@@ -1414,6 +1401,40 @@ impl<'h> LogKEngine<'h> {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(branch);
+        out
+    }
+
+    /// The λc walk of one lead: every λc of size `1..=k` whose first
+    /// member is `cands[lead]`, in ascending size, each tried by
+    /// [`Self::try_child`]. The only λc walk of the engine: both paths of
+    /// [`Self::child_loop`] visit the leads `0..cands.len()` through it,
+    /// in order inline or raced across the pool, so the λc order is
+    /// lead-major everywhere.
+    fn walk_lead(
+        &self,
+        arena: &mut SpecialArena,
+        level: &LevelInputs<'_>,
+        prune: Option<&Prune<'_>>,
+        lead: usize,
+        lam_buf: &mut Vec<Edge>,
+        ctx: &mut ChildCtx<'_>,
+    ) -> Option<Result<Fragment, Stop>> {
+        let LevelInputs {
+            sub,
+            conn,
+            allowed,
+            depth,
+            vsub,
+            cands,
+        } = *level;
+        let lam_cap = lam_buf.capacity();
+        let found = for_each_subset_with_lead_in(cands, lead, self.cfg.k, lam_buf, |lam_c| {
+            self.try_child(
+                arena, sub, conn, allowed, depth, prune, vsub, cands, lam_c, ctx,
+            )
+        });
+        ctx.meters.bump_grow(lam_buf.capacity() > lam_cap);
+        found
     }
 
     /// One iteration of `ChildLoop` (Algorithm 2, lines 11–43).
@@ -2156,21 +2177,7 @@ impl<'h> LogKEngine<'h> {
         // Fail-fast before any work: a sibling (or an outer race) may have
         // decided the join while this branch sat on a deque.
         poll(self.ctrl, Some(join))?;
-        let recycled = self
-            .branch_pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop();
-        let mut branch = recycled.unwrap_or_else(|| {
-            self.stats.scratch_allocs.fetch_add(1, Ordering::Relaxed);
-            BranchScratch::default()
-        });
-        let result = {
-            let BranchScratch {
-                stack,
-                lvl,
-                reported: _,
-            } = &mut branch;
+        let result = self.with_branch_scratch(|stack, lvl| {
             // Line 18/35 on branch scratch: Conn_y = V(y) ∩ χc.
             lvl.meters
                 .bump_grow(lvl.conn_child.copy_from(&comp.vertices));
@@ -2184,15 +2191,7 @@ impl<'h> LogKEngine<'h> {
                 Some(join),
                 stack,
             )
-        };
-        let totals = branch.totals();
-        self.fold_meters(totals - branch.reported);
-        branch.reported = totals;
-        branch.lvl.retire_lp_memo();
-        self.branch_pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(branch);
+        });
         result.map(|o| o.map(|frag| (frag, barena)))
     }
 }

@@ -376,35 +376,14 @@ impl LogK {
     }
 
     /// Decides `hw(H) ≤ k`, returning a validated-by-construction witness.
+    /// [`Self::decompose_with_stats`] without the statistics.
     pub fn decompose(
         &self,
         hg: &Hypergraph,
         k: usize,
         ctrl: &Control,
     ) -> Result<Option<Decomposition>, Interrupted> {
-        decomp::faults::hit_ctrl("logk/solve", ctrl);
-        match self.variant {
-            Variant::Basic => crate::basic::decompose_basic(hg, k, ctrl),
-            Variant::Optimized => self
-                .build_engine(hg, ctrl, self.engine_config(k))
-                .decompose(),
-            Variant::Parallel => {
-                let cfg = self.engine_config(k);
-                match self.solve_pool() {
-                    None => self.build_engine(hg, ctrl, cfg).decompose(),
-                    Some(pool) => {
-                        // The whole solve — λc join-races, hybrid det-k
-                        // handoffs included — runs inside the pool's
-                        // scope, i.e. on its worker threads: the bound is
-                        // the worker count, exactly, however the search
-                        // nests. The pool itself is long-lived (cached or
-                        // caller-owned), so no per-solve spawn/join tax.
-                        let engine = self.build_engine(hg, ctrl, cfg);
-                        pool.scope(|_| engine.decompose())
-                    }
-                }
-            }
-        }
+        self.decompose_with_stats(hg, k, ctrl).map(|(d, _)| d)
     }
 
     /// Decision-only variant of [`Self::decompose`].
@@ -467,7 +446,12 @@ impl LogK {
                 }
                 match self.solve_pool() {
                     Some(pool) => {
-                        // Run inside the pool's scope (see `decompose`).
+                        // The whole solve — λc join-races, hybrid det-k
+                        // handoffs included — runs inside the pool's
+                        // scope, i.e. on its worker threads: the bound is
+                        // the worker count, exactly, however the search
+                        // nests. The pool itself is long-lived (cached or
+                        // caller-owned), so no per-solve spawn/join tax.
                         // Cached pools live across solves, so their
                         // counters are cumulative: attribute the delta
                         // around this solve (advisory — concurrent solves
@@ -681,7 +665,7 @@ pub struct SolveStats {
     /// allocation claim.
     pub scratch_grow_events: u64,
     /// Arena checkpoints handed to parallel branches (Arc bumps, not deep
-    /// copies).
+    /// copies) — 0 for sequential engines and 1-worker pools.
     pub arena_branch_clones: u64,
     /// Child loops (`try_as_root`/`finish_pair`) that fanned their sibling
     /// subproblems out on the pool instead of recursing sequentially —

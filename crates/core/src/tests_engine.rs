@@ -138,6 +138,27 @@ fn parallel_matches_sequential() {
             }
         }
     }
+    // On one worker the λc race never splits, so `parallel(1)` walks the
+    // leads inline exactly like `sequential()`: the same witness and the
+    // same search counters.
+    let par1 = LogK::parallel(1);
+    for seed in 0..6u64 {
+        let hg = random_hypergraph(seed, 14, 14, 4);
+        for k in 1..=3usize {
+            let (a, sa) = seq.decompose_with_stats(&hg, k, &ctrl).unwrap();
+            let (b, sb) = par1.decompose_with_stats(&hg, k, &ctrl).unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed={seed} k={k}");
+            let counters = |s: &crate::SolveStats| {
+                (
+                    s.separations,
+                    s.lambda_c_rejected,
+                    s.lambda_p_rejected,
+                    s.decomp_calls,
+                )
+            };
+            assert_eq!(counters(&sa), counters(&sb), "seed={seed} k={k}");
+        }
+    }
 }
 
 #[test]

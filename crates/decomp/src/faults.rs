@@ -4,18 +4,19 @@
 //! fault sites* — `faults::hit("logk/engine/poll")` and friends — that are
 //! free no-ops in a normal build. With the `fault-injection` feature
 //! enabled, a test can **arm** a site to deterministically misbehave at
-//! its `n`-th hit:
+//! its `n`-th hit (the items below exist only under that feature, so they
+//! are named here without links):
 //!
-//! * [`Fault::Panic`] — unwind out of the site (poisoning whatever lock
+//! * `Fault::Panic` — unwind out of the site (poisoning whatever lock
 //!   the site holds), proving panic containment and poison recovery;
-//! * [`Fault::Delay`] — sleep, simulating a stalled solve so deadlines
+//! * `Fault::Delay` — sleep, simulating a stalled solve so deadlines
 //!   and load shedding are testable without giant instances;
-//! * [`Fault::Cancel`] — spuriously cancel the solve's [`Control`]
+//! * `Fault::Cancel` — spuriously cancel the solve's [`Control`]
 //!   (sites that carry one), simulating an external kill mid-search;
-//! * [`Fault::Net`] — network chaos for wire-protocol sites (see
-//!   [`NetFault`]): the registry only *schedules* the misbehaviour; the
+//! * `Fault::Net` — network chaos for wire-protocol sites (see
+//!   `NetFault`): the registry only *schedules* the misbehaviour; the
 //!   site's owner (the `htdwire` crate) interprets it against its own
-//!   socket via [`take_net`], so this crate stays free of any I/O types.
+//!   socket via `take_net`, so this crate stays free of any I/O types.
 //!
 //! Determinism: hits are counted per site **from the moment the site is
 //! armed**, so `arm(site, 3, Fault::Panic)` fires on exactly the third
@@ -25,7 +26,7 @@
 //! calls compile away entirely).
 //!
 //! Tests that arm global sites must serialise against each other (the
-//! integration suites share one `Mutex` guard) and call [`reset`] when
+//! integration suites share one `Mutex` guard) and call `reset` when
 //! done.
 //!
 //! [`Control`]: crate::Control
@@ -226,7 +227,7 @@ pub fn hit(site: &'static str) {
 }
 
 /// Fault site on a poll path, carrying the solve's
-/// [`Control`](crate::Control) so [`Fault::Cancel`] (feature
+/// [`Control`](crate::Control) so `Fault::Cancel` (feature
 /// `fault-injection`) can fire it; a no-op otherwise.
 #[inline(always)]
 pub fn hit_ctrl(site: &'static str, ctrl: &crate::Control) {

@@ -18,8 +18,14 @@
 //!   det-k-decomp (Gottlob & Samer), where a label that misses part of
 //!   `Conn` can never be a valid node.
 //!
-//! Subsets are produced in ascending-size, lexicographic order so that
-//! cheap (small) separators are tried first.
+//! [`for_each_subset`] and its driven form produce subsets in
+//! ascending-size, lexicographic order so that cheap (small) separators
+//! are tried first; the engine's λp walk uses that order. The engine's λc
+//! walk is *lead-major*: it visits the leads `0, 1, …` in turn, each
+//! through [`for_each_subset_with_lead_in`], so ascending size holds only
+//! within a lead (every subset of lead 0, up to size `k`, comes before the
+//! singleton of lead 1). Leads that race across a pool partition the
+//! same space.
 
 use std::ops::ControlFlow;
 

@@ -16,8 +16,8 @@
 //!   negotiated sessions, retries with jittered exponential backoff,
 //!   honors server overload hints, and hedges idempotent requests.
 //!
-//! Under `--features fault-injection`, [`net`] wires
-//! [`decomp::faults::take_net`] chaos plans (mid-frame disconnects,
+//! Under `--features fault-injection`, [`net`] wires the
+//! `take_net` chaos plans of [`decomp::faults`] (mid-frame disconnects,
 //! slow-loris dribbles, stalled accepts) into every socket operation so
 //! the fault suite can prove the blast-radius claims deterministically.
 

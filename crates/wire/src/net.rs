@@ -3,8 +3,8 @@
 //! Every write the wire layer performs goes through [`write_frame`], and
 //! the server's acceptor consults [`accept_fault`] for each connection
 //! it accepts. In normal builds these are plain pass-throughs; under
-//! `--features fault-injection` they consult
-//! [`decomp::faults::take_net`] at named sites so tests can
+//! `--features fault-injection` they consult `take_net` of
+//! [`decomp::faults`] at named sites so tests can
 //! deterministically tear connections mid-frame, dribble bytes
 //! slow-loris style, or freeze the acceptor — without any nondeterminism
 //! or real packet loss.
