@@ -1,6 +1,13 @@
 //! Micro benchmarks for the substrate hot paths: bitset algebra,
 //! `[U]`-component computation, and bounded-subset enumeration — the three
 //! loops every solver in the workspace spends its time in.
+//!
+//! The solver groups that measure the search itself (`neg_cache`,
+//! `pos_cache`, `lp_prune`, `par_scaling`) call `LogK::search_with_stats`,
+//! the search without the bounds pass: the pass would refute the twin-K5
+//! instance at k = 2 outright (minor-min-width 4 ≥ k · r). The other
+//! solver rows (`ctrl_overhead`, `race`) time the production path, pass
+//! included.
 
 use std::ops::ControlFlow;
 
@@ -8,7 +15,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use decomp::Control;
 use hypergraph::subsets::{for_each_cover_subset_in, for_each_subset, CoverScratch, CoverStep};
 use hypergraph::{
-    separate, separate_into, Edge, Scratch, Separation, SpecialArena, Subproblem, Vertex, VertexSet,
+    separate, separate_into, Edge, Hypergraph, Scratch, Separation, SpecialArena, Subproblem,
+    Vertex, VertexSet,
 };
 use logk::{LogK, LpMode};
 use std::hint::black_box;
@@ -130,6 +138,12 @@ fn bench_components(c: &mut Criterion) {
     g.finish();
 }
 
+/// One decision by the search alone, without the bounds pass.
+fn search(solver: &LogK, hg: &Hypergraph, k: usize) -> bool {
+    let ctrl = Control::unlimited();
+    solver.search_with_stats(hg, k, &ctrl).unwrap().0.is_some()
+}
+
 fn bench_neg_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/neg_cache");
     // Two K5 cliques sharing two vertices, searched at the failing width
@@ -160,16 +174,10 @@ fn bench_neg_cache(c: &mut Criterion) {
         let cached = LogK::sequential();
         let uncached = LogK::sequential().with_cache_bytes(0);
         g.bench_function(format!("{name}_cached"), |bch| {
-            bch.iter(|| {
-                let ctrl = Control::unlimited();
-                black_box(cached.decide(black_box(hg), k, &ctrl).unwrap())
-            })
+            bch.iter(|| black_box(search(&cached, black_box(hg), k)))
         });
         g.bench_function(format!("{name}_uncached"), |bch| {
-            bch.iter(|| {
-                let ctrl = Control::unlimited();
-                black_box(uncached.decide(black_box(hg), k, &ctrl).unwrap())
-            })
+            bch.iter(|| black_box(search(&uncached, black_box(hg), k)))
         });
     }
     g.finish();
@@ -188,16 +196,10 @@ fn bench_pos_cache(c: &mut Criterion) {
     let cached = LogK::sequential();
     let uncached = LogK::sequential().with_cache_bytes(0);
     g.bench_function("grid5x6_k3_pos_cached", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(cached.decide(black_box(&grid), 3, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&cached, black_box(&grid), 3)))
     });
     g.bench_function("grid5x6_k3_pos_uncached", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(uncached.decide(black_box(&grid), 3, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&uncached, black_box(&grid), 3)))
     });
     g.finish();
 }
@@ -224,22 +226,13 @@ fn bench_lp_prune(c: &mut Criterion) {
     // why per-pair stays the default (see BENCHMARKS.md).
     let incremental = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     g.bench_function("grid4x4_k3_prefiltered", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(filtered.decide(black_box(&grid), 3, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&filtered, black_box(&grid), 3)))
     });
     g.bench_function("grid4x4_k3_inc_prefiltered", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(incremental.decide(black_box(&grid), 3, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&incremental, black_box(&grid), 3)))
     });
     g.bench_function("grid4x4_k3_unfiltered", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(unfiltered.decide(black_box(&grid), 3, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&unfiltered, black_box(&grid), 3)))
     });
 
     // Wide variant: the 260-vertex cycle at its true width k = 2. Every
@@ -253,22 +246,13 @@ fn bench_lp_prune(c: &mut Criterion) {
     let wide_inc = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     let wide_unf = LogK::sequential().with_lambda_p_prefilter(false);
     g.bench_function("cycle260_k2_prefiltered", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(wide_pp.decide(black_box(&wide), 2, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&wide_pp, black_box(&wide), 2)))
     });
     g.bench_function("cycle260_k2_inc_prefiltered", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(wide_inc.decide(black_box(&wide), 2, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&wide_inc, black_box(&wide), 2)))
     });
     g.bench_function("cycle260_k2_unfiltered", |bch| {
-        bch.iter(|| {
-            let ctrl = Control::unlimited();
-            black_box(wide_unf.decide(black_box(&wide), 2, &ctrl).unwrap())
-        })
+        bch.iter(|| black_box(search(&wide_unf, black_box(&wide), 2)))
     });
     g.finish();
 }
@@ -290,10 +274,7 @@ fn bench_par_scaling(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         let solver = LogK::parallel(threads);
         g.bench_function(format!("grid4x4_k3_t{threads}"), |bch| {
-            bch.iter(|| {
-                let ctrl = Control::unlimited();
-                black_box(solver.decide(black_box(&grid), 3, &ctrl).unwrap())
-            })
+            bch.iter(|| black_box(search(&solver, black_box(&grid), 3)))
         });
     }
     // Below-children parallelism probe: a disjoint union splits into one
@@ -318,10 +299,7 @@ fn bench_par_scaling(c: &mut Criterion) {
         ] {
             let solver = LogK::parallel(threads).with_child_split(min_components, min_size);
             g.bench_function(format!("dgrid4x4x2_k3_t{threads}_{grain}"), |bch| {
-                bch.iter(|| {
-                    let ctrl = Control::unlimited();
-                    black_box(solver.decide(black_box(&multi), 3, &ctrl).unwrap())
-                })
+                bch.iter(|| black_box(search(&solver, black_box(&multi), 3)))
             });
         }
     }

@@ -8,12 +8,16 @@
 //!   parallel separator search (Appendix D.1) and hybridisation with
 //!   `det-k-decomp` (Appendix D.2).
 //! * [`solver`] — the configurable [`LogK`] façade used by examples,
-//!   benchmarks and the experiment harness.
+//!   benchmarks and the experiment harness. Its `decompose*` and
+//!   `decide` calls run the bounds pass ([`settle()`]) first and the search
+//!   only when no certified bound decides; `search_with_stats` is the
+//!   search alone.
 
 pub mod basic;
 pub mod cache;
 pub mod engine;
 pub mod race;
+pub mod settle;
 pub mod solver;
 
 #[cfg(test)]
@@ -29,6 +33,7 @@ pub use engine::{
     LP_INCREMENTAL_AUTO_WORDS,
 };
 pub use race::{width_bounds_racing, RaceStats};
+pub use settle::{settle, Settled, SettledBy};
 pub use solver::{
     shared_pool, width_bounds_with, LogK, SharedTables, SolveStats, Variant, WidthBounds,
 };

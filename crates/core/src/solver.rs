@@ -4,6 +4,17 @@
 //! hybrid, cf. Sections 5.2 and Appendix D of the paper); the width bound
 //! `k` is a per-call argument, matching the paper's usage where one
 //! instance is solved for `k = 1, 2, …` until the optimum is certified.
+//!
+//! Two entry points answer one width:
+//!
+//! * [`LogK::decompose_with_stats`] (and [`LogK::decompose`],
+//!   [`LogK::decide`]) is the production call: the bounds pass
+//!   ([`crate::settle()`]) first, then the search when no certified bound
+//!   decides. GYO settles every `k = 1` call, and the minor-min-width
+//!   bound refutes widths below `(tw + 1) / r`.
+//! * [`LogK::search_with_stats`] is the search alone. The differential
+//!   suites and the search micro-benchmarks call it, so the instances the
+//!   pass would settle keep exercising the engine.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -19,6 +30,7 @@ use crate::engine::{
     DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE, DEFAULT_DETK_CACHE_CAP,
     DEFAULT_POS_CACHE_MAX_FRAG,
 };
+use crate::settle::SettledBy;
 use detk::{MemoSnapshot, SharedMemo};
 
 /// Process-wide cache of work-stealing pools, keyed by worker count.
@@ -391,9 +403,15 @@ impl LogK {
         Ok(self.decompose(hg, k, ctrl)?.is_some())
     }
 
-    /// Like [`Self::decompose`], additionally returning search statistics
-    /// (recursion depth, `Decomp` call count). Only meaningful for the
-    /// Algorithm 2 engines; [`Variant::Basic`] reports zeros.
+    /// Like [`Self::decompose`], additionally returning search statistics.
+    ///
+    /// The Algorithm 2 variants first run the bounds pass
+    /// ([`crate::settle()`]): GYO answers `k = 1` either way, and the
+    /// minor-min-width bound refutes some larger widths, each with a
+    /// checkable certificate. A call the pass settles reports which bound
+    /// did in [`SolveStats::settled_by`] and zero search counters; every
+    /// other call is [`Self::search_with_stats`]. [`Variant::Basic`]
+    /// stays the raw Algorithm 1 oracle, without the pass.
     pub fn decompose_with_stats(
         &self,
         hg: &Hypergraph,
@@ -401,6 +419,43 @@ impl LogK {
         ctrl: &Control,
     ) -> Result<(Option<Decomposition>, SolveStats), Interrupted> {
         decomp::faults::hit_ctrl("logk/solve", ctrl);
+        if !matches!(self.variant, Variant::Basic) {
+            // A fired control is honoured before the pass as well. One
+            // poll per solve: the coarse form always reads the clock.
+            ctrl.checkpoint_coarse()?;
+            if let Some(settled) = crate::settle::settle(hg, k) {
+                let stats = SolveStats {
+                    settled_by: settled.by(),
+                    detk_cache_cap: self.detk_cache_cap,
+                    ..SolveStats::default()
+                };
+                return Ok((settled.into_witness(), stats));
+            }
+        }
+        self.search(hg, k, ctrl)
+    }
+
+    /// The search alone: [`Self::decompose_with_stats`] without the
+    /// bounds pass, for callers that mean to exercise the search itself
+    /// (the differential suites and the search micro-benchmarks).
+    /// Statistics are only meaningful for the Algorithm 2 engines;
+    /// [`Variant::Basic`] reports zeros.
+    pub fn search_with_stats(
+        &self,
+        hg: &Hypergraph,
+        k: usize,
+        ctrl: &Control,
+    ) -> Result<(Option<Decomposition>, SolveStats), Interrupted> {
+        decomp::faults::hit_ctrl("logk/solve", ctrl);
+        self.search(hg, k, ctrl)
+    }
+
+    fn search(
+        &self,
+        hg: &Hypergraph,
+        k: usize,
+        ctrl: &Control,
+    ) -> Result<(Option<Decomposition>, SolveStats), Interrupted> {
         match self.variant {
             Variant::Basic => {
                 let d = crate::basic::decompose_basic(hg, k, ctrl)?;
@@ -435,6 +490,7 @@ impl LogK {
                         detk_cache_cap: self.detk_cache_cap,
                         detk_memo: engine.detk_memo_snapshot(),
                         cache: engine.cache_snapshot(),
+                        settled_by: SettledBy::Search,
                     };
                     Ok((d, stats))
                 };
@@ -650,7 +706,8 @@ pub fn width_bounds_with(
     out
 }
 
-/// Search statistics returned by [`LogK::decompose_with_stats`].
+/// Search statistics returned by [`LogK::decompose_with_stats`] and
+/// [`LogK::search_with_stats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolveStats {
     /// Deepest `Decomp` recursion level — `O(log |E(H)|)` by Theorem 4.1.
@@ -711,4 +768,6 @@ pub struct SolveStats {
     /// Unified subproblem-cache counters (positive + negative verdicts,
     /// eviction, id rewrites).
     pub cache: CacheSnapshot,
+    /// The certified bound that answered before the search, if any.
+    pub settled_by: SettledBy,
 }

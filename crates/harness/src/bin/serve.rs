@@ -116,10 +116,12 @@ fn workload() -> Vec<Item> {
             deadline: None,
         },
         Item {
-            name: "chorded(96,48) k=3, 30 ms deadline",
+            // At k = 3 the bounds pass refutes this instance outright
+            // (minor-min-width 6 ≥ k · r); k = 4 keeps the search busy.
+            name: "chorded(96,48) k=4, 30 ms deadline",
             expect: 'T',
             edges: hard,
-            k: 3,
+            k: 4,
             kind: JobKind::Decide,
             deadline: Some(Duration::from_millis(30)),
         },

@@ -246,9 +246,12 @@ mod tests {
 
     #[test]
     fn ghd_search_miss_decides_nothing() {
-        // The balanced GHD search is one-sided: failing at w = 1 does
-        // not prove hw > 1.
+        // The balanced GHD search is one-sided: it misses the 12-cycle
+        // at its true width 2, and the miss proves nothing.
         let budget = Duration::from_secs(10);
-        assert_eq!(decide_width(Method::Ghd, &cycle(8), 1, budget), None);
+        assert_eq!(decide_width(Method::Ghd, &cycle(12), 2, budget), None);
+        // At w = 1 the bounds pass answers before the search: GYO
+        // refutes any cycle.
+        assert_eq!(decide_width(Method::Ghd, &cycle(8), 1, budget), Some(false));
     }
 }

@@ -22,73 +22,80 @@ pub struct GyoResult {
 }
 
 /// Runs the GYO reduction on `hg`.
+///
+/// Work-list driven, so the cost is near-linear in the input: an ear's
+/// holder is its one alive incident edge, and only an edge whose set just
+/// shrank is re-tested for containment (sets only shrink, so no other
+/// edge can newly fit inside another).
 pub fn gyo(hg: &Hypergraph) -> GyoResult {
-    let n = hg.num_vertices();
     let m = hg.num_edges();
     let mut sets: Vec<VertexSet> = hg.edge_ids().map(|e| hg.edge(e).clone()).collect();
     let mut alive = EdgeSet::full(m);
     let mut witness: Vec<Option<Edge>> = vec![None; m];
 
     // degree[v] = number of alive edges whose *current* set contains v.
-    let mut degree = vec![0u32; n];
-    for s in &sets {
-        for v in s {
-            degree[v.0 as usize] += 1;
+    // A vertex leaves a set only as an ear (and its degree drops to 0),
+    // so while degree[v] > 0 every alive edge incident to v holds it.
+    let mut degree: Vec<usize> = hg
+        .vertex_ids()
+        .map(|v| hg.incident_edges(v).len())
+        .collect();
+    let mut ears: Vec<Vertex> = hg
+        .vertex_ids()
+        .filter(|v| degree[v.0 as usize] == 1)
+        .collect();
+    let mut dirty: Vec<Edge> = hg.edge_ids().collect();
+    let mut queued = EdgeSet::full(m);
+
+    loop {
+        // Rule 1: drop vertices of degree 1 from their unique edge.
+        while let Some(v) = ears.pop() {
+            if degree[v.0 as usize] != 1 {
+                continue; // its holder was removed since it was queued
+            }
+            let e = hg
+                .incident_edges(v)
+                .iter()
+                .find(|&e| alive.contains(e))
+                .expect("degree 1 means one alive holder");
+            sets[e.0 as usize].remove(v);
+            degree[v.0 as usize] = 0;
+            if queued.insert(e) {
+                dirty.push(e);
+            }
+        }
+
+        // Rule 2: remove a shrunk edge contained in another alive edge
+        // (an empty edge is contained in anything alive). A container
+        // must hold e's rarest vertex, so only its holders are tried.
+        let Some(e) = dirty.pop() else { break };
+        queued.remove(e);
+        if !alive.contains(e) {
+            continue;
+        }
+        let set = &sets[e.0 as usize];
+        let container = match set.iter().min_by_key(|v| degree[v.0 as usize]) {
+            Some(v) => hg
+                .incident_edges(v)
+                .iter()
+                .find(|&f| f != e && alive.contains(f) && set.is_subset_of(&sets[f.0 as usize])),
+            None => alive.iter().find(|&f| f != e),
+        };
+        if let Some(f) = container {
+            alive.remove(e);
+            witness[e.0 as usize] = Some(f);
+            for v in &sets[e.0 as usize] {
+                degree[v.0 as usize] -= 1;
+                if degree[v.0 as usize] == 1 {
+                    ears.push(v);
+                }
+            }
         }
     }
 
-    let mut changed = true;
-    while changed {
-        changed = false;
-
-        // Rule 1: drop vertices of degree 1 from their unique edge.
-        for v in 0..n as u32 {
-            if degree[v as usize] == 1 {
-                let holder = alive
-                    .iter()
-                    .find(|&e| sets[e.0 as usize].contains(Vertex(v)));
-                if let Some(e) = holder {
-                    sets[e.0 as usize].remove(Vertex(v));
-                    degree[v as usize] = 0;
-                    changed = true;
-                }
-            }
-        }
-
-        // Rule 2: remove an edge contained in another alive edge
-        // (empty edges count: they are contained in anything alive).
-        let alive_now: Vec<Edge> = alive.iter().collect();
-        'outer: for &e in &alive_now {
-            for &f in &alive_now {
-                if e == f || !alive.contains(f) || !alive.contains(e) {
-                    continue;
-                }
-                if sets[e.0 as usize].is_subset_of(&sets[f.0 as usize]) {
-                    alive.remove(e);
-                    witness[e.0 as usize] = Some(f);
-                    for v in &sets[e.0 as usize] {
-                        degree[v.0 as usize] -= 1;
-                    }
-                    changed = true;
-                    continue 'outer;
-                }
-            }
-        }
-
-        // An empty edge with no other edge alive is trivially removable.
-        if alive.len() == 1 {
-            let e = alive.first().expect("len checked");
-            if sets[e.0 as usize].is_empty()
-                || sets[e.0 as usize].iter().all(|v| degree[v.0 as usize] == 1)
-            {
-                // All remaining vertices are ears: the last edge reduces away.
-                for v in &sets[e.0 as usize] {
-                    degree[v.0 as usize] = 0;
-                }
-                alive.remove(e);
-                changed = true;
-            }
-        }
+    // A sole survivor's vertices are all ears: the last edge reduces away.
+    if alive.len() == 1 {
+        alive.clear();
     }
 
     GyoResult {

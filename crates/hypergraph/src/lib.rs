@@ -17,6 +17,9 @@
 //! * [`components`] — `[U]`-components (Definition 3.2), the balanced
 //!   separation primitive;
 //! * [`gyo`](mod@gyo) — GYO reduction / α-acyclicity (hw ≤ 1);
+//! * [`bounds`] — certified lower bounds checked before the search: GYO
+//!   at k = 1 and minor-min-width above, each refutation with a
+//!   re-checkable certificate;
 //! * [`subsets`] — bounded-size subset enumeration with lead-partitioning
 //!   for parallel search;
 //! * [`levels`] — the generic depth-indexed [`LevelStack`] scratch
@@ -26,6 +29,7 @@
 //! Decompositions in Logarithmic Recursion Depth.* PODS 2022.
 
 pub mod bitset;
+pub mod bounds;
 pub mod components;
 pub mod extended;
 pub mod graph;

@@ -33,6 +33,12 @@
 //! Only `Hd` and `Refuted` answer `hw(H) ≤ k` ([`Verdict::hw_answer`]);
 //! the race counts every other verdict as advisory.
 //!
+//! Every kind first runs the bounds pass ([`logk::settle()`]), the `logk`
+//! kinds inside their solve and the others in [`Engine::decide`]. GYO
+//! answers `k = 1` for every engine, so there `ghd` refutes instead of
+//! missing; a minor-min-width refutation is `Refuted` for every engine.
+//! The pass's witness is validated like any other.
+//!
 //! # Join precedence
 //!
 //! Rejection dominates interruption, mirroring the engines'
@@ -205,14 +211,26 @@ impl Engine {
         k: usize,
         ctrl: &Control,
     ) -> Result<(Verdict, Option<SolveStats>), Interrupted> {
-        let (witness, stats, no_witness) = match self.kind {
-            EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid => {
+        // The `logk` kinds run the bounds pass inside their solve; every
+        // other engine gets the same pass here, under the same rule.
+        let settled = match self.kind {
+            EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid => None,
+            _ => {
+                ctrl.checkpoint_coarse()?;
+                logk::settle(hg, k)
+            }
+        };
+        let (witness, stats, no_witness) = match (settled, self.kind) {
+            (Some(s), _) => (s.into_witness(), None, Verdict::Refuted),
+            (None, EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid) => {
                 let (d, stats) = self.logk().decompose_with_stats(hg, k, ctrl)?;
                 (d, Some(stats), Verdict::Refuted)
             }
-            EngineKind::Detk => (detk::decompose_detk(hg, k, ctrl)?, None, Verdict::Refuted),
-            EngineKind::Ghd => (ghd::decompose_ghd(hg, k, ctrl)?, None, Verdict::Miss),
-            EngineKind::HtdSat => match htdsat::decide_ghw(hg, k, ctrl) {
+            (None, EngineKind::Detk) => {
+                (detk::decompose_detk(hg, k, ctrl)?, None, Verdict::Refuted)
+            }
+            (None, EngineKind::Ghd) => (ghd::decompose_ghd(hg, k, ctrl)?, None, Verdict::Miss),
+            (None, EngineKind::HtdSat) => match htdsat::decide_ghw(hg, k, ctrl) {
                 Ok(d) => (d, None, Verdict::Refuted),
                 Err(htdsat::HtdSatError::Interrupted(e)) => return Err(e),
                 Err(htdsat::HtdSatError::EncodingTooLarge { .. }) => {
@@ -483,17 +501,17 @@ mod tests {
                 EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid
             );
             assert_eq!(stats.is_some(), logk, "{kind}");
+            // GYO refutes k = 1 for every kind, `ghd` included.
+            assert!(matches!(below, Verdict::Refuted), "{kind}: {below:?}");
             if kind == EngineKind::Ghd {
                 // The balanced rooted search needs width 3 on this cycle:
-                // it misses at the true width too, which is why a miss
-                // may never count as a refutation.
-                assert!(matches!(below, Verdict::Miss), "{kind}: {below:?}");
+                // it misses at the true width, which is why a miss may
+                // never count as a refutation.
                 assert!(matches!(at, Verdict::Miss), "{kind}: {at:?}");
                 let (above, _) = decide(3);
                 assert!(matches!(above, Verdict::Hd(_) | Verdict::Ghd(_)), "{kind}");
                 continue;
             }
-            assert!(matches!(below, Verdict::Refuted), "{kind}: {below:?}");
             match at {
                 Verdict::Hd(d) => assert!(validate_hd_width(&hg, &d, 2).is_ok(), "{kind}"),
                 Verdict::Ghd(d) if kind == EngineKind::HtdSat => {
@@ -503,6 +521,28 @@ mod tests {
                     )
                 }
                 other => panic!("{kind}: {other:?}"),
+            }
+        }
+    }
+
+    /// The bounds pass settles the same calls for every kind: GYO at
+    /// k = 1 both ways, the minor bound on a clique above.
+    #[test]
+    fn bounds_pass_settles_every_kind_alike() {
+        let ctrl = Control::unlimited();
+        let path = families::path(8);
+        let k7 = families::clique(7);
+        for kind in EngineKind::ALL {
+            let engine = Engine::new(kind, 1);
+            let (yes, _) = engine.decide(&path, 1, &ctrl).unwrap();
+            match yes {
+                Verdict::Hd(d) => assert!(validate_hd_width(&path, &d, 1).is_ok(), "{kind}"),
+                other => panic!("{kind}: {other:?}"),
+            }
+            let (no, stats) = engine.decide(&k7, 2, &ctrl).unwrap();
+            assert!(matches!(no, Verdict::Refuted), "{kind}: {no:?}");
+            if let Some(s) = stats {
+                assert_eq!(s.settled_by, logk::SettledBy::Minor { d: 6 }, "{kind}");
             }
         }
     }

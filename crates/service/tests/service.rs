@@ -487,10 +487,18 @@ fn duplicate_requests_coalesce_onto_one_solve() {
         executors: 2,
         ..ServerConfig::default()
     });
+    // A refutation that no certified bound settles, so the leader runs
+    // the full search (the minor bound refutes a 10×10 grid at k = 2 in
+    // microseconds, leaving nothing in flight to park on).
+    let csp = workloads::hyperbench_like(workloads::CorpusConfig::default())
+        .into_iter()
+        .find(|inst| inst.name == "syn_csp_074e_0010")
+        .expect("the default corpus holds syn_csp_074e_0010")
+        .hg;
     // Fresh allocation each submit: coalescing must key on content.
-    let grid = || Arc::new(families::grid(10, 10));
+    let hg = || Arc::new(csp.clone());
     let tickets: Vec<_> = (0..4)
-        .map(|_| server.submit(Request::decide(grid(), 2)).unwrap())
+        .map(|_| server.submit(Request::decide(hg(), 2)).unwrap())
         .collect();
     for t in tickets {
         match t.wait().outcome {

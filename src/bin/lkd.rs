@@ -8,7 +8,8 @@
 //!
 //! `decompose` computes an optimal-width decomposition (searching k = 1…10
 //! unless `--k` fixes it) and prints the certified tree; `stats` reports
-//! hypergraph measures including α-acyclicity.
+//! hypergraph measures including α-acyclicity, the minor-min-width
+//! lower bound on the primal treewidth and the hw lower bound it implies.
 //!
 //! `ENGINE` is any name of the `portfolio` engine registry
 //! (`logk-seq`, `logk-par`, `logk-hybrid`, `detk`, `ghd`, `htdsat`) or
@@ -20,6 +21,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use decomp::Control;
+use hypergraph::bounds::{minor_min_width, MINOR_BOUND_MAX_VERTICES};
 use hypergraph::{is_acyclic, parse_hyperbench, parse_pace, Hypergraph};
 use portfolio::{Engine, EngineKind, Verdict};
 
@@ -120,6 +122,16 @@ fn stats(o: &Opts) -> Result<(), String> {
     println!("avg arity:  {:.2}", hg.avg_arity());
     println!("max degree: {}", hg.max_degree());
     println!("acyclic:    {}", is_acyclic(&hg));
+    // The bounds pass's minor bound, and the hw lower bound it implies:
+    // every bag holds at most k · r vertices, so tw + 1 ≤ hw · r.
+    if hg.num_vertices() > MINOR_BOUND_MAX_VERTICES {
+        println!("mmw:        skipped (over {MINOR_BOUND_MAX_VERTICES} vertices)");
+    } else if hg.num_edges() > 0 {
+        let d = minor_min_width(&hg).min_degree;
+        let hw = (d + 1).div_ceil(hg.max_arity().max(1));
+        println!("mmw:        {d}  (minor-min-width: primal treewidth >= {d})");
+        println!("hw >=       {hw}  (ceil((mmw + 1) / max arity))");
+    }
     let (reduced, _) = hg.reduced();
     println!("after subsumption reduction: {} edges", reduced.num_edges());
     Ok(())

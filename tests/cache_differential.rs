@@ -8,6 +8,10 @@
 //! evicts under memory pressure, so the suite additionally asserts that
 //! positive hits actually occur and that eviction degrades capacity, not
 //! correctness.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use decomp::{validate_hd_width, Control};
 use logk::LogK;
@@ -46,8 +50,8 @@ fn corpus_cached_matches_uncached_sequential_and_parallel() {
         let mut checked = 0usize;
         for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
             for k in 1..=k_max {
-                let (dc, sc) = cached.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-                let (du, su) = uncached.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
+                let (dc, sc) = cached.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+                let (du, su) = uncached.search_with_stats(&inst.hg, k, &ctrl).unwrap();
                 assert_eq!(
                     dc.is_some(),
                     du.is_some(),
@@ -109,9 +113,7 @@ fn corpus_cached_matches_uncached_sequential_and_parallel() {
 fn grid5x6_positive_search_reuses_fragments() {
     let hg = workloads::families::grid(5, 6);
     let ctrl = Control::unlimited();
-    let (d, stats) = LogK::sequential()
-        .decompose_with_stats(&hg, 3, &ctrl)
-        .unwrap();
+    let (d, stats) = LogK::sequential().search_with_stats(&hg, 3, &ctrl).unwrap();
     let d = d.expect("the 5×6 grid has hw = 3");
     validate_hd_width(&hg, &d, 3).unwrap();
     assert!(
@@ -149,9 +151,7 @@ fn twin_k5_negative_search_agrees_and_hits() {
     assert!(!hypergraph::is_acyclic(&hg));
     let ctrl = Control::unlimited();
 
-    let (d, stats) = LogK::sequential()
-        .decompose_with_stats(&hg, 2, &ctrl)
-        .unwrap();
+    let (d, stats) = LogK::sequential().search_with_stats(&hg, 2, &ctrl).unwrap();
     assert!(d.is_none(), "two glued K5s have hw = 3 > 2");
     assert!(
         stats.cache.neg_hits > 0,
@@ -159,13 +159,15 @@ fn twin_k5_negative_search_agrees_and_hits() {
     );
     let uncached = LogK::sequential()
         .with_cache_bytes(0)
-        .decide(&hg, 2, &ctrl)
-        .unwrap();
+        .search_with_stats(&hg, 2, &ctrl)
+        .unwrap()
+        .0
+        .is_some();
     assert!(!uncached);
 
     // Both engines find and certify the true width 3.
     for solver in [LogK::sequential(), LogK::sequential().with_cache_bytes(0)] {
-        let d = solver.decompose(&hg, 3, &ctrl).unwrap().unwrap();
+        let d = solver.search_with_stats(&hg, 3, &ctrl).unwrap().0.unwrap();
         validate_hd_width(&hg, &d, 3).unwrap();
     }
 }
@@ -185,8 +187,12 @@ fn tiny_cache_budget_evicts_but_stays_sound() {
     let off = LogK::sequential().with_cache_bytes(0);
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 25) {
         for k in 1..=3 {
-            let (da, sa) = tiny.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let b = off.decide(&inst.hg, k, &ctrl).unwrap();
+            let (da, sa) = tiny.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let b = off
+                .search_with_stats(&inst.hg, k, &ctrl)
+                .unwrap()
+                .0
+                .is_some();
             assert_eq!(da.is_some(), b, "{} at k={k}", inst.name);
             assert!(
                 sa.cache.bytes <= 4096,
@@ -209,7 +215,7 @@ fn tiny_cache_budget_evicts_but_stays_sound() {
     // needs the full PR 2 insert stream to be deterministic.
     let hg = workloads::families::cycle(40);
     let tiny = tiny.with_pos_cache_max_frag(usize::MAX);
-    let (d, stats) = tiny.decompose_with_stats(&hg, 2, &ctrl).unwrap();
+    let (d, stats) = tiny.search_with_stats(&hg, 2, &ctrl).unwrap();
     validate_hd_width(&hg, &d.expect("cycles have hw = 2"), 2).unwrap();
     assert!(
         stats.cache.evictions > 0,
@@ -217,7 +223,7 @@ fn tiny_cache_budget_evicts_but_stays_sound() {
     );
     assert!(stats.cache.bytes <= 4096);
     assert!(
-        off.decide(&hg, 2, &ctrl).unwrap(),
+        off.search_with_stats(&hg, 2, &ctrl).unwrap().0.is_some(),
         "uncached engine agrees on the evicting instance"
     );
 }
@@ -226,8 +232,21 @@ fn tiny_cache_budget_evicts_but_stays_sound() {
 /// striped-table core by real hybrid solves: a cap small enough to freeze
 /// almost immediately must degrade reuse, never correctness, and the cap
 /// must hold exactly (the core's admission runs under the shard lock).
+/// Quick tier: instances of at most 20 edges.
 #[test]
 fn detk_entry_cap_policy_sound() {
+    check_detk_entry_cap(20);
+}
+
+/// [`detk_entry_cap_policy_sound`] over every instance of at most 30
+/// edges; the uncached oracle takes over a minute there in debug builds.
+#[test]
+#[ignore = "exhaustive tier: CI runs it"]
+fn detk_entry_cap_policy_sound_exhaustive() {
+    check_detk_entry_cap(30);
+}
+
+fn check_detk_entry_cap(max_edges: usize) {
     let corpus = hyperbench_like(CorpusConfig {
         seed: 2024,
         scale: 1.0 / 100.0,
@@ -238,11 +257,15 @@ fn detk_entry_cap_policy_sound() {
     let oracle = LogK::sequential().with_cache_bytes(0);
     let mut handoffs = 0u64;
     let mut capped_inserts = 0u64;
-    for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 30) {
+    for inst in corpus.iter().filter(|i| i.hg.num_edges() <= max_edges) {
         for k in 1..=3usize {
-            let (dc, sc) = capped.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let (dr, _) = roomy.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let b = oracle.decide(&inst.hg, k, &ctrl).unwrap();
+            let (dc, sc) = capped.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (dr, _) = roomy.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let b = oracle
+                .search_with_stats(&inst.hg, k, &ctrl)
+                .unwrap()
+                .0
+                .is_some();
             assert_eq!(
                 dc.is_some(),
                 b,
@@ -296,8 +319,8 @@ fn cross_policy_tiny_limits_stay_sound() {
     let off = LogK::hybrid(1).with_cache_bytes(0).with_detk_cache_cap(0);
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 25) {
         for k in 1..=3usize {
-            let (da, sa) = tiny.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let (db, sb) = off.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (da, sa) = tiny.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (db, sb) = off.search_with_stats(&inst.hg, k, &ctrl).unwrap();
             assert_eq!(
                 da.is_some(),
                 db.is_some(),
@@ -332,8 +355,12 @@ fn wide_corpus_cached_matches_uncached() {
     let mut checked = 0usize;
     for inst in wide_corpus(WideConfig::default()) {
         let Some(k) = inst.width_upper else { continue };
-        let (dc, _) = cached.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-        let b = uncached.decide(&inst.hg, k, &ctrl).unwrap();
+        let (dc, _) = cached.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let b = uncached
+            .search_with_stats(&inst.hg, k, &ctrl)
+            .unwrap()
+            .0
+            .is_some();
         assert_eq!(
             dc.is_some(),
             b,
@@ -366,9 +393,9 @@ proptest! {
         let cached_par = LogK::parallel(2);
         let uncached = LogK::sequential().with_cache_bytes(0);
         for k in 1..=3usize {
-            let a = cached_seq.decompose(&hg, k, &ctrl).unwrap();
-            let p = cached_par.decompose(&hg, k, &ctrl).unwrap();
-            let b = uncached.decide(&hg, k, &ctrl).unwrap();
+            let a = cached_seq.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let p = cached_par.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let b = uncached.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             prop_assert_eq!(a.is_some(), b, "sequential vs uncached at k={}", k);
             prop_assert_eq!(p.is_some(), b, "parallel vs uncached at k={}", k);
             if let Some(d) = a {
@@ -388,8 +415,8 @@ proptest! {
         let tiny = LogK::sequential().with_cache_bytes(2048);
         let off = LogK::sequential().with_cache_bytes(0);
         for k in 1..=3usize {
-            let a = tiny.decide(&hg, k, &ctrl).unwrap();
-            let b = off.decide(&hg, k, &ctrl).unwrap();
+            let a = tiny.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
+            let b = off.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             prop_assert_eq!(a, b, "tiny-budget vs uncached at k={}", k);
         }
     }
@@ -408,8 +435,8 @@ proptest! {
             .with_pos_cache_max_frag(usize::MAX);
         let off = LogK::hybrid(1).with_cache_bytes(0).with_detk_cache_cap(0);
         for k in 1..=3usize {
-            let (da, sa) = tiny.decompose_with_stats(&hg, k, &ctrl).unwrap();
-            let b = off.decide(&hg, k, &ctrl).unwrap();
+            let (da, sa) = tiny.search_with_stats(&hg, k, &ctrl).unwrap();
+            let b = off.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             prop_assert_eq!(da.is_some(), b, "both-tiny vs both-off at k={}", k);
             prop_assert!(sa.cache.bytes <= 4096, "CLOCK budget exceeded at k={}", k);
             prop_assert!(sa.detk_memo.entries <= 2, "entry cap exceeded at k={}", k);

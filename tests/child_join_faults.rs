@@ -6,6 +6,10 @@
 //! cooperative-stop latency, panics unwinding with the site's message —
 //! and at 1 worker the sites must never even be reached, because the
 //! split gate keeps the child loops on the sequential fast path.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
 #![cfg(feature = "fault-injection")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +50,11 @@ fn panic_at_child_branch_unwinds_with_site_message() {
     let hg = multi_component();
     faults::arm("logk/engine/child_branch", 1, Fault::Panic);
     let ctrl = Control::unlimited();
-    let result = catch_unwind(AssertUnwindSafe(|| LogK::parallel(2).decide(&hg, 3, &ctrl)));
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        LogK::parallel(2)
+            .search_with_stats(&hg, 3, &ctrl)
+            .map(|(d, _)| d.is_some())
+    }));
     let payload = result.expect_err("armed branch panic must unwind");
     let message = payload
         .downcast_ref::<String>()
@@ -59,7 +67,11 @@ fn panic_at_child_branch_unwinds_with_site_message() {
     );
     faults::reset();
     // The engine (and its pool) stay healthy for the next solve.
-    assert!(LogK::parallel(2).decide(&hg, 3, &ctrl).unwrap());
+    assert!(LogK::parallel(2)
+        .search_with_stats(&hg, 3, &ctrl)
+        .unwrap()
+        .0
+        .is_some());
 }
 
 /// A spurious cancellation fired at a child join point surfaces as a
@@ -70,7 +82,9 @@ fn cancel_at_child_join_interrupts_the_solve() {
     let hg = multi_component();
     faults::arm("logk/engine/child_join", 1, Fault::Cancel);
     let ctrl = Control::unlimited();
-    let got = LogK::parallel(2).decide(&hg, 3, &ctrl);
+    let got = LogK::parallel(2)
+        .search_with_stats(&hg, 3, &ctrl)
+        .map(|(d, _)| d.is_some());
     assert_eq!(got, Err(Interrupted::Cancelled));
     assert!(faults::hits("logk/engine/child_join") >= 1);
     faults::reset();
@@ -88,7 +102,9 @@ fn delay_at_child_split_hits_the_deadline() {
         Fault::Delay(Duration::from_millis(300)),
     );
     let ctrl = Control::with_timeout(Duration::from_millis(25));
-    let got = LogK::parallel(2).decide(&hg, 3, &ctrl);
+    let got = LogK::parallel(2)
+        .search_with_stats(&hg, 3, &ctrl)
+        .map(|(d, _)| d.is_some());
     assert_eq!(got, Err(Interrupted::Timeout));
     faults::reset();
 }
@@ -103,7 +119,11 @@ fn child_sites_are_never_reached_at_one_worker() {
     faults::arm("logk/engine/child_branch", 1, Fault::Panic);
     faults::arm("logk/engine/child_join", 1, Fault::Panic);
     let ctrl = Control::unlimited();
-    assert!(LogK::parallel(1).decide(&hg, 3, &ctrl).unwrap());
+    assert!(LogK::parallel(1)
+        .search_with_stats(&hg, 3, &ctrl)
+        .unwrap()
+        .0
+        .is_some());
     for site in [
         "logk/engine/child_split",
         "logk/engine/child_branch",

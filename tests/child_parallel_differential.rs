@@ -13,6 +13,10 @@
 //! a multi-component instance at 2 workers: `child_splits > 0`, every
 //! join rebases its fragments, and the pool's steal counter shows the
 //! second worker really participating.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use decomp::{validate_hd_width, Control};
 use logk::LogK;
@@ -38,9 +42,9 @@ fn corpus_par_children_matches_seq_children() {
     let mut checked = 0usize;
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
         for k in 1..=4usize {
-            let (ds, _) = seq.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let (dp, sp) = par_pinned.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let (dc, _) = par_split.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (ds, _) = seq.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (dp, sp) = par_pinned.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (dc, _) = par_split.search_with_stats(&inst.hg, k, &ctrl).unwrap();
             assert_eq!(
                 ds.is_some(),
                 dp.is_some(),
@@ -84,9 +88,7 @@ fn disconnected_instance_splits_children_and_steals() {
     let hg = families::disjoint_union(&[families::grid(4, 4), families::grid(4, 4)]);
     let ctrl = Control::unlimited();
 
-    let (d, stats) = LogK::parallel(2)
-        .decompose_with_stats(&hg, 3, &ctrl)
-        .unwrap();
+    let (d, stats) = LogK::parallel(2).search_with_stats(&hg, 3, &ctrl).unwrap();
     let d = d.expect("hw(grid ⊎ grid) = 3");
     validate_hd_width(&hg, &d, 3).unwrap();
     assert!(
@@ -104,7 +106,7 @@ fn disconnected_instance_splits_children_and_steals() {
 
     let (d_pinned, s_pinned) = LogK::parallel(2)
         .with_child_split(usize::MAX, 0)
-        .decompose_with_stats(&hg, 3, &ctrl)
+        .search_with_stats(&hg, 3, &ctrl)
         .unwrap();
     validate_hd_width(&hg, &d_pinned.expect("verdict is grain-independent"), 3).unwrap();
     assert_eq!(s_pinned.child_splits, 0);
@@ -112,9 +114,7 @@ fn disconnected_instance_splits_children_and_steals() {
 
     // One worker: the split gate (`current_num_threads() > 1`) keeps the
     // sequential fast path even with the default grain.
-    let (d1, s1) = LogK::parallel(1)
-        .decompose_with_stats(&hg, 3, &ctrl)
-        .unwrap();
+    let (d1, s1) = LogK::parallel(1).search_with_stats(&hg, 3, &ctrl).unwrap();
     validate_hd_width(&hg, &d1.expect("verdict is worker-independent"), 3).unwrap();
     assert_eq!(s1.child_splits, 0, "1-worker pools must not split children");
 }
@@ -129,12 +129,10 @@ fn rejection_verdicts_agree_under_child_parallelism() {
     let ctrl = Control::unlimited();
     let (d, stats) = LogK::parallel(2)
         .with_child_split(2, 0)
-        .decompose_with_stats(&hg, 1, &ctrl)
+        .search_with_stats(&hg, 1, &ctrl)
         .unwrap();
     assert!(d.is_none(), "hw(C8 ⊎ C8) = 2, so k = 1 must refute");
-    let (ds, _) = LogK::sequential()
-        .decompose_with_stats(&hg, 1, &ctrl)
-        .unwrap();
+    let (ds, _) = LogK::sequential().search_with_stats(&hg, 1, &ctrl).unwrap();
     assert!(ds.is_none());
     if stats.child_splits == 0 {
         assert_eq!(stats.child_cancels, 0, "cancels require splits");
@@ -142,8 +140,11 @@ fn rejection_verdicts_agree_under_child_parallelism() {
     // And the decomposable width still agrees.
     let dp = LogK::parallel(2)
         .with_child_split(2, 0)
-        .decide(&hg, 2, &ctrl);
-    let dq = LogK::sequential().decide(&hg, 2, &ctrl);
+        .search_with_stats(&hg, 2, &ctrl)
+        .map(|(d, _)| d.is_some());
+    let dq = LogK::sequential()
+        .search_with_stats(&hg, 2, &ctrl)
+        .map(|(d, _)| d.is_some());
     assert_eq!(dp.unwrap(), dq.unwrap());
 }
 
@@ -160,8 +161,8 @@ fn wide_corpus_par_children_matches_sequential() {
     let mut checked = 0usize;
     for inst in wide_corpus(WideConfig::default()) {
         let Some(k) = inst.width_upper else { continue };
-        let (ds, _) = seq.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-        let (dp, _) = par_split.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let (ds, _) = seq.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let (dp, _) = par_split.search_with_stats(&inst.hg, k, &ctrl).unwrap();
         assert_eq!(
             ds.is_some(),
             dp.is_some(),
@@ -181,10 +182,10 @@ fn wide_corpus_par_children_matches_sequential() {
         families::disjoint_union(&[families::band_cq(130, 4, 2), families::band_cq(130, 4, 2)]);
     let (d, stats) = LogK::parallel(2)
         .with_child_split(2, 0)
-        .decompose_with_stats(&hg, 1, &ctrl)
+        .search_with_stats(&hg, 1, &ctrl)
         .unwrap();
     validate_hd_width(&hg, &d.expect("bands are acyclic"), 1).unwrap();
-    let ds = seq.decide(&hg, 1, &ctrl).unwrap();
+    let ds = seq.search_with_stats(&hg, 1, &ctrl).unwrap().0.is_some();
     assert!(ds);
     if stats.child_splits == 0 {
         assert_eq!(stats.child_cancels, 0, "cancels require splits");
@@ -210,9 +211,9 @@ proptest! {
         let par_pinned = LogK::parallel(2).with_child_split(usize::MAX, 0);
         let par_split = LogK::parallel(2).with_child_split(2, 0);
         for k in 1..=3usize {
-            let a = seq.decompose(&hg, k, &ctrl).unwrap();
-            let b = par_pinned.decompose(&hg, k, &ctrl).unwrap();
-            let c = par_split.decompose(&hg, k, &ctrl).unwrap();
+            let a = seq.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let b = par_pinned.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let c = par_split.search_with_stats(&hg, k, &ctrl).unwrap().0;
             prop_assert_eq!(a.is_some(), b.is_some(), "children-pinned at k={}", k);
             prop_assert_eq!(a.is_some(), c.is_some(), "children-split at k={}", k);
             for d in [&a, &b, &c].into_iter().flatten() {

@@ -65,6 +65,10 @@ fn stats_subcommand() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("edges:      2"));
     assert!(stdout.contains("acyclic:    true"));
+    // The triangle {x, y, z} survives w's contraction: mmw = 2, and with
+    // max arity 3 that implies only hw >= 1.
+    assert!(stdout.contains("mmw:        2 "), "{stdout}");
+    assert!(stdout.contains("hw >=       1 "), "{stdout}");
 }
 
 #[test]

@@ -10,6 +10,10 @@
 //! anywhere in the stack can wedge past its control. Run it with
 //! `RAYON_NUM_THREADS=1` and `=2` (CI does both): degenerate pools have
 //! historically been where cooperative-stop bugs hide.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,7 +108,7 @@ fn assert_cancels(name: &str, solve: impl FnOnce(&Control) -> Option<Interrupted
 fn logk_sequential_times_out() {
     let hg = hard_logk();
     assert_times_out("logk/seq", |c| {
-        logk::LogK::sequential().decide(&hg, 3, c).err()
+        logk::LogK::sequential().search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -112,7 +116,7 @@ fn logk_sequential_times_out() {
 fn logk_sequential_cancels() {
     let hg = hard_logk();
     assert_cancels("logk/seq", |c| {
-        logk::LogK::sequential().decide(&hg, 3, c).err()
+        logk::LogK::sequential().search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -122,7 +126,7 @@ fn logk_sequential_cancels() {
 fn logk_parallel_times_out() {
     let hg = hard_logk();
     assert_times_out("logk/par2", |c| {
-        logk::LogK::parallel(2).decide(&hg, 3, c).err()
+        logk::LogK::parallel(2).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -130,7 +134,7 @@ fn logk_parallel_times_out() {
 fn logk_parallel_cancels() {
     let hg = hard_logk();
     assert_cancels("logk/par2", |c| {
-        logk::LogK::parallel(2).decide(&hg, 3, c).err()
+        logk::LogK::parallel(2).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -140,7 +144,7 @@ fn logk_parallel_cancels() {
 fn logk_child_parallel_times_out() {
     let hg = hard_multi_component();
     assert_times_out("logk/children2", |c| {
-        logk::LogK::parallel(2).decide(&hg, 3, c).err()
+        logk::LogK::parallel(2).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -148,7 +152,7 @@ fn logk_child_parallel_times_out() {
 fn logk_child_parallel_cancels() {
     let hg = hard_multi_component();
     assert_cancels("logk/children2", |c| {
-        logk::LogK::parallel(2).decide(&hg, 3, c).err()
+        logk::LogK::parallel(2).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -158,7 +162,7 @@ fn logk_child_sequential_fallback_times_out() {
     // sequential fast path, and the stop contract must hold regardless.
     let hg = hard_multi_component();
     assert_times_out("logk/children1", |c| {
-        logk::LogK::parallel(1).decide(&hg, 3, c).err()
+        logk::LogK::parallel(1).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -166,7 +170,7 @@ fn logk_child_sequential_fallback_times_out() {
 fn logk_child_sequential_fallback_cancels() {
     let hg = hard_multi_component();
     assert_cancels("logk/children1", |c| {
-        logk::LogK::parallel(1).decide(&hg, 3, c).err()
+        logk::LogK::parallel(1).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -176,7 +180,7 @@ fn logk_child_sequential_fallback_cancels() {
 fn logk_hybrid_times_out() {
     let hg = hard_logk();
     assert_times_out("logk/hybrid2", |c| {
-        logk::LogK::hybrid(2).decide(&hg, 3, c).err()
+        logk::LogK::hybrid(2).search_with_stats(&hg, 3, c).err()
     });
 }
 
@@ -184,7 +188,7 @@ fn logk_hybrid_times_out() {
 fn logk_hybrid_cancels() {
     let hg = hard_logk();
     assert_cancels("logk/hybrid2", |c| {
-        logk::LogK::hybrid(2).decide(&hg, 3, c).err()
+        logk::LogK::hybrid(2).search_with_stats(&hg, 3, c).err()
     });
 }
 

@@ -8,6 +8,10 @@
 //! family (the workload whose `lambda_p_rejected` counter motivated the
 //! filter) the suite additionally asserts that the filter actually fires
 //! and that it erases the majority of `separate_into` calls.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use decomp::{validate_hd_width, Control};
 use logk::{LogK, LpMode};
@@ -43,8 +47,8 @@ fn corpus_prefiltered_matches_unfiltered_sequential_and_parallel() {
         let mut checked = 0usize;
         for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
             for k in 1..=k_max {
-                let (df, sf) = filtered.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-                let (du, su) = unfiltered.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
+                let (df, sf) = filtered.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+                let (du, su) = unfiltered.search_with_stats(&inst.hg, k, &ctrl).unwrap();
                 assert_eq!(
                     df.is_some(),
                     du.is_some(),
@@ -119,8 +123,8 @@ fn grid_prefilter_fires_and_erases_most_separations() {
                 LogK::parallel(2).with_lambda_p_prefilter(false),
             ),
         ] {
-            let (df, sf) = filtered.decompose_with_stats(&hg, 3, &ctrl).unwrap();
-            let (du, su) = unfiltered.decompose_with_stats(&hg, 3, &ctrl).unwrap();
+            let (df, sf) = filtered.search_with_stats(&hg, 3, &ctrl).unwrap();
+            let (du, su) = unfiltered.search_with_stats(&hg, 3, &ctrl).unwrap();
             let d = df.unwrap_or_else(|| panic!("{mode}: {name} has hw = 3"));
             validate_hd_width(&hg, &d, 3).unwrap();
             validate_hd_width(&hg, &du.expect("unfiltered agrees"), 3).unwrap();
@@ -163,11 +167,12 @@ fn incremental_mode_is_counter_identical_to_per_pair() {
     let mut fired = 0u64;
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
         for k in 1..=4usize {
-            let (dp, sp) = per_pair.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let (di, si) = incremental
-                .decompose_with_stats(&inst.hg, k, &ctrl)
-                .unwrap();
-            let dpar = incremental_par.decompose(&inst.hg, k, &ctrl).unwrap();
+            let (dp, sp) = per_pair.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (di, si) = incremental.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let dpar = incremental_par
+                .search_with_stats(&inst.hg, k, &ctrl)
+                .unwrap()
+                .0;
             assert_eq!(
                 dp.is_some(),
                 di.is_some(),
@@ -221,12 +226,14 @@ fn wide_corpus_lp_modes_agree_at_known_width() {
     let mut checked = 0usize;
     for inst in wide_corpus(WideConfig::default()) {
         let Some(k) = inst.width_upper else { continue };
-        let (dp, sp) = per_pair.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-        let (di, si) = incremental
-            .decompose_with_stats(&inst.hg, k, &ctrl)
-            .unwrap();
-        let da = auto.decompose(&inst.hg, k, &ctrl).unwrap();
-        let b = unfiltered.decide(&inst.hg, k, &ctrl).unwrap();
+        let (dp, sp) = per_pair.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let (di, si) = incremental.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let da = auto.search_with_stats(&inst.hg, k, &ctrl).unwrap().0;
+        let b = unfiltered
+            .search_with_stats(&inst.hg, k, &ctrl)
+            .unwrap()
+            .0
+            .is_some();
         assert!(
             dp.is_some() && b,
             "{} must decompose at its certified width {k}",
@@ -270,11 +277,17 @@ fn report_lp_mode_timings_on_wide_corpus() {
         let words = inst.hg.num_vertices().div_ceil(64);
         for (label, mode) in modes {
             let solver = LogK::sequential().with_lambda_p_mode(mode);
-            solver.decide(&inst.hg, k, &ctrl).unwrap(); // warm-up
+            solver.search_with_stats(&inst.hg, k, &ctrl).unwrap(); // warm-up
             let mut times: Vec<std::time::Duration> = (0..5)
                 .map(|_| {
                     let t = std::time::Instant::now();
-                    std::hint::black_box(solver.decide(&inst.hg, k, &ctrl).unwrap());
+                    std::hint::black_box(
+                        solver
+                            .search_with_stats(&inst.hg, k, &ctrl)
+                            .unwrap()
+                            .0
+                            .is_some(),
+                    );
                     t.elapsed()
                 })
                 .collect();
@@ -308,11 +321,11 @@ proptest! {
         let filtered_inc_par = LogK::parallel(2).with_lambda_p_mode(LpMode::Always);
         let unfiltered = LogK::sequential().with_lambda_p_prefilter(false);
         for k in 1..=3usize {
-            let (a, sa) = filtered_seq.decompose_with_stats(&hg, k, &ctrl).unwrap();
-            let p = filtered_par.decompose(&hg, k, &ctrl).unwrap();
-            let (i, si) = filtered_inc.decompose_with_stats(&hg, k, &ctrl).unwrap();
-            let ip = filtered_inc_par.decide(&hg, k, &ctrl).unwrap();
-            let b = unfiltered.decide(&hg, k, &ctrl).unwrap();
+            let (a, sa) = filtered_seq.search_with_stats(&hg, k, &ctrl).unwrap();
+            let p = filtered_par.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let (i, si) = filtered_inc.search_with_stats(&hg, k, &ctrl).unwrap();
+            let ip = filtered_inc_par.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
+            let b = unfiltered.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             prop_assert_eq!(a.is_some(), b, "sequential vs unfiltered at k={}", k);
             prop_assert_eq!(p.is_some(), b, "parallel vs unfiltered at k={}", k);
             prop_assert_eq!(i.is_some(), b, "incremental vs unfiltered at k={}", k);

@@ -15,6 +15,10 @@
 //! `RAYON_NUM_THREADS=2` and `=1` (the ambient pool size every unpooled
 //! parallel call inherits; `=1` is the fully sequential degenerate), so
 //! every parallel test doubles as a stress test.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -24,9 +28,22 @@ use rayon::prelude::*;
 use workloads::{families, hyperbench_like, CorpusConfig};
 
 /// Corpus sweep with hybrid handoffs enabled under a 2-thread pool:
-/// verdicts match the sequential engine, witnesses validate.
+/// verdicts match the sequential engine, witnesses validate. Quick tier:
+/// instances of at most 26 edges.
 #[test]
 fn hybrid_under_two_thread_pool_matches_sequential() {
+    check_hybrid_matches_sequential(26);
+}
+
+/// [`hybrid_under_two_thread_pool_matches_sequential`] over every
+/// instance of at most 30 edges, which takes minutes in debug builds.
+#[test]
+#[ignore = "exhaustive tier: CI runs it"]
+fn hybrid_under_two_thread_pool_matches_sequential_exhaustive() {
+    check_hybrid_matches_sequential(30);
+}
+
+fn check_hybrid_matches_sequential(max_edges: usize) {
     let corpus = hyperbench_like(CorpusConfig {
         seed: 99,
         scale: 1.0 / 120.0,
@@ -36,10 +53,14 @@ fn hybrid_under_two_thread_pool_matches_sequential() {
     let seq = LogK::sequential();
     let mut handoffs = 0u64;
     let mut checked = 0usize;
-    for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 30) {
+    for inst in corpus.iter().filter(|i| i.hg.num_edges() <= max_edges) {
         for k in 1..=3usize {
-            let (dh, sh) = hybrid.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let ds = seq.decide(&inst.hg, k, &ctrl).unwrap();
+            let (dh, sh) = hybrid.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let ds = seq
+                .search_with_stats(&inst.hg, k, &ctrl)
+                .unwrap()
+                .0
+                .is_some();
             assert_eq!(
                 dh.is_some(),
                 ds,
@@ -71,8 +92,9 @@ fn grid_hybrid_under_two_thread_pool() {
     let ctrl = Control::unlimited();
     let hg = families::grid(4, 4);
     let d = LogK::hybrid(2)
-        .decompose(&hg, 3, &ctrl)
+        .search_with_stats(&hg, 3, &ctrl)
         .unwrap()
+        .0
         .expect("the 4×4 grid has hw = 3");
     validate_hd_width(&hg, &d, 3).unwrap();
 }
@@ -183,7 +205,7 @@ fn hybrid_handoffs_surface_scheduler_counters() {
     let mut solves = 0usize;
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 24) {
         for k in 1..=3usize {
-            let (d, stats) = hybrid.decompose_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (d, stats) = hybrid.search_with_stats(&inst.hg, k, &ctrl).unwrap();
             if let Some(d) = &d {
                 validate_hd_width(&inst.hg, d, k).unwrap();
             }

@@ -4,12 +4,19 @@
 
 use decomp::{validate_hd_width, Control};
 use hypergraph::{separate, Hypergraph, SpecialArena, Subproblem, Vertex, VertexSet};
-use logk::LogK;
+use logk::{LogK, Settled};
 use proptest::prelude::*;
 
 /// Strategy: a random small hypergraph as raw edge lists.
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     prop::collection::vec(prop::collection::vec(0u32..10, 2..4), 1..10)
+        .prop_map(|edges| Hypergraph::from_edge_lists(&edges))
+}
+
+/// Strategy: a denser small hypergraph (up to 16 edges of arity 2–3 on
+/// 7 vertices), so the minor bound fires at k = 2 as well as GYO at 1.
+fn arb_dense_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    prop::collection::vec(prop::collection::vec(0u32..7, 2..4), 1..17)
         .prop_map(|edges| Hypergraph::from_edge_lists(&edges))
 }
 
@@ -61,6 +68,29 @@ proptest! {
                             "edges {ea:?} and {eb:?} are [U]-adjacent across components"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The bounds pass never claims more than the Algorithm 1 oracle
+    /// proves: every refutation passes its certificate check and the
+    /// oracle refutes too; every GYO witness validates at width 1.
+    #[test]
+    fn bounds_pass_agrees_with_basic(hg in arb_dense_hypergraph()) {
+        let ctrl = Control::unlimited();
+        for k in 1..=3usize {
+            let Some(settled) = logk::settle(&hg, k) else { continue };
+            let oracle = LogK::basic().decide(&hg, k, &ctrl).unwrap();
+            match settled {
+                Settled::Witness(d) => {
+                    prop_assert_eq!(k, 1);
+                    prop_assert!(validate_hd_width(&hg, &d, 1).is_ok());
+                    prop_assert!(oracle, "GYO witness where basic refutes");
+                }
+                Settled::Refuted(r) => {
+                    prop_assert!(r.check(&hg, k).is_ok(), "k={}: {:?}", k, r);
+                    prop_assert!(!oracle, "k={}: refuted where basic decomposes: {:?}", k, r);
                 }
             }
         }

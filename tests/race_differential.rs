@@ -259,7 +259,9 @@ fn portfolio_race_cancels_externally_within_latency() {
         })
     };
     let t0 = Instant::now();
-    let out = port.race(&hg, 3, &ctrl);
+    // k = 4: at k = 3 the bounds pass refutes this instance at once
+    // (minor-min-width 6 ≥ k · r), before any racer's search starts.
+    let out = port.race(&hg, 4, &ctrl);
     let elapsed = t0.elapsed();
     killer.join().expect("killer thread");
     assert_eq!(
