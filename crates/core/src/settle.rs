@@ -4,14 +4,15 @@
 //! bound decides it (see [`hypergraph::bounds`]):
 //!
 //! * at `k = 1`, GYO decides it either way: an α-acyclic hypergraph gets
-//!   its join forest as a width-1 HD, any other a [`Refutation::Cyclic`];
+//!   its join tree as a width-1 HD, any other a [`Refutation::Cyclic`];
 //! * at `k ≥ 2`, the minor-min-width bound may refute it
 //!   ([`Refutation::Minor`]); it never proves a "yes".
 //!
 //! [`LogK::decompose_with_stats`](crate::LogK::decompose_with_stats) runs
-//! it before the search for the Algorithm 2 variants, and
-//! `portfolio::Engine::decide` before every other engine, so one rule
-//! settles a call wherever it enters.
+//! it before the search for the Algorithm 2 variants,
+//! `portfolio::Engine::decide` before every other engine, and
+//! `portfolio::Portfolio::race` once before it launches its racers, so
+//! one rule settles a call wherever it enters.
 
 use decomp::Decomposition;
 use hypergraph::bounds::{minor_refutation, Refutation};
@@ -37,7 +38,7 @@ pub enum SettledBy {
 /// An answer the bounds pass gives without the search.
 #[derive(Clone, Debug)]
 pub enum Settled {
-    /// `hw(H) ≤ 1`: the GYO join forest as a width-1 HD.
+    /// `hw(H) ≤ 1`: the GYO join tree as a width-1 HD.
     Witness(Decomposition),
     /// `hw(H) > k`, with a certificate [`Refutation::check`] re-verifies.
     Refuted(Refutation),
@@ -70,7 +71,7 @@ pub fn settle(hg: &Hypergraph, k: usize) -> Option<Settled> {
     if k == 1 {
         let g = gyo(hg);
         return Some(if g.acyclic {
-            Settled::Witness(join_forest_hd(hg, &g.witness))
+            Settled::Witness(join_tree_hd(hg, &g.witness))
         } else {
             Settled::Refuted(Refutation::Cyclic { residue: g.residue })
         });
@@ -78,25 +79,28 @@ pub fn settle(hg: &Hypergraph, k: usize) -> Option<Settled> {
     minor_refutation(hg, k).map(Settled::Refuted)
 }
 
-/// Turns a GYO join forest (`parent[e]`: the edge `e` was folded into)
+/// Turns a GYO join tree (`parent[e]`: the edge `e` was folded into)
 /// into a width-1 HD: one node per edge with `λ = {e}` and `χ = e`, each
-/// under its parent's node, and every further root under the first
-/// one. The trees share no vertex, so connectedness holds.
-fn join_forest_hd(hg: &Hypergraph, parent: &[Option<Edge>]) -> Decomposition {
+/// under its parent's node. An acyclic run folds every edge but the last
+/// survivor (an emptied edge folds into any other), so that edge, the
+/// only one without a parent, is the root.
+fn join_tree_hd(hg: &Hypergraph, parent: &[Option<Edge>]) -> Decomposition {
     let labels = hg
         .edge_ids()
         .map(|e| (vec![e], hg.edge(e).clone()))
         .collect();
     let mut children = vec![Vec::new(); parent.len()];
-    let mut roots = Vec::new();
+    let mut root = None;
     for (e, p) in parent.iter().enumerate() {
         match p {
             Some(f) => children[f.0 as usize].push(e as u32),
-            None => roots.push(e as u32),
+            None => {
+                debug_assert!(root.is_none(), "an acyclic GYO run leaves one root");
+                root = Some(e as u32);
+            }
         }
     }
-    let root = roots[0];
-    children[root as usize].extend_from_slice(&roots[1..]);
+    let root = root.expect("an acyclic GYO run leaves one root");
     Decomposition::from_parts(labels, children, root)
 }
 

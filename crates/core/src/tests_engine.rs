@@ -1,11 +1,20 @@
 //! Unit and differential tests for the optimised / parallel / hybrid
 //! engines against the Algorithm 1 oracle.
+//!
+//! The differentials call the search alone ([`LogK::search_with_stats`]):
+//! through `decide`/`decompose` the bounds pass answers every `k = 1` call
+//! with GYO, and the engines would never be compared there.
 
-use decomp::{validate_hd_width, Control};
+use decomp::{validate_hd_width, Control, Decomposition};
 use hypergraph::Hypergraph;
 
 use crate::engine::{HybridConfig, HybridMetric};
 use crate::solver::LogK;
+
+/// `solver`'s search alone, without the bounds pass.
+fn search(solver: &LogK, hg: &Hypergraph, k: usize, ctrl: &Control) -> Option<Decomposition> {
+    solver.search_with_stats(hg, k, ctrl).unwrap().0
+}
 
 fn cycle(n: u32) -> Hypergraph {
     let edges: Vec<Vec<u32>> = (0..n).map(|i| vec![i, (i + 1) % n]).collect();
@@ -60,7 +69,7 @@ fn optimized_matches_oracle_on_structured_instances() {
     for hg in [cycle(4), cycle(7), cycle(10), grid(2, 3), grid(3, 3)] {
         for k in 1..=3usize {
             let want = oracle.decide(&hg, k, &ctrl).unwrap();
-            let got = fast.decompose(&hg, k, &ctrl).unwrap();
+            let got = search(&fast, &hg, k, &ctrl);
             assert_eq!(want, got.is_some(), "k={k} |E|={}", hg.num_edges());
             if let Some(d) = got {
                 validate_hd_width(&hg, &d, k).unwrap();
@@ -78,7 +87,7 @@ fn optimized_matches_oracle_on_random_instances() {
         let hg = random_hypergraph(seed, 8, 7, 4);
         for k in 1..=2usize {
             let want = oracle.decide(&hg, k, &ctrl).unwrap();
-            let got = fast.decompose(&hg, k, &ctrl).unwrap();
+            let got = search(&fast, &hg, k, &ctrl);
             assert_eq!(want, got.is_some(), "seed={seed} k={k}\n{:?}", hg);
             if let Some(d) = got {
                 validate_hd_width(&hg, &d, k).unwrap();
@@ -101,8 +110,8 @@ fn root_fallthrough_agrees_with_printed_algorithm() {
     for seed in 0..25u64 {
         let hg = random_hypergraph(seed.wrapping_add(100), 9, 8, 4);
         for k in 1..=2usize {
-            let a = printed.decide(&hg, k, &ctrl).unwrap();
-            let b = fallthrough.decide(&hg, k, &ctrl).unwrap();
+            let a = search(&printed, &hg, k, &ctrl).is_some();
+            let b = search(&fallthrough, &hg, k, &ctrl).is_some();
             assert_eq!(a, b, "seed={seed} k={k}");
         }
     }
@@ -115,7 +124,7 @@ fn detk_agrees_with_logk() {
     for seed in 0..20u64 {
         let hg = random_hypergraph(seed.wrapping_add(500), 10, 9, 4);
         for k in 1..=3usize {
-            let a = fast.decide(&hg, k, &ctrl).unwrap();
+            let a = search(&fast, &hg, k, &ctrl).is_some();
             let b = detk::decide_detk(&hg, k, &ctrl).unwrap();
             assert_eq!(a, b, "seed={seed} k={k}\n{:?}", hg);
         }
@@ -130,8 +139,8 @@ fn parallel_matches_sequential() {
     for seed in 0..10u64 {
         let hg = random_hypergraph(seed.wrapping_add(900), 10, 10, 4);
         for k in 1..=3usize {
-            let a = seq.decide(&hg, k, &ctrl).unwrap();
-            let got = par.decompose(&hg, k, &ctrl).unwrap();
+            let a = search(&seq, &hg, k, &ctrl).is_some();
+            let got = search(&par, &hg, k, &ctrl);
             assert_eq!(a, got.is_some(), "seed={seed} k={k}");
             if let Some(d) = got {
                 validate_hd_width(&hg, &d, k).unwrap();
@@ -145,8 +154,8 @@ fn parallel_matches_sequential() {
     for seed in 0..6u64 {
         let hg = random_hypergraph(seed, 14, 14, 4);
         for k in 1..=3usize {
-            let (a, sa) = seq.decompose_with_stats(&hg, k, &ctrl).unwrap();
-            let (b, sb) = par1.decompose_with_stats(&hg, k, &ctrl).unwrap();
+            let (a, sa) = seq.search_with_stats(&hg, k, &ctrl).unwrap();
+            let (b, sb) = par1.search_with_stats(&hg, k, &ctrl).unwrap();
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed={seed} k={k}");
             let counters = |s: &crate::SolveStats| {
                 (
@@ -173,8 +182,8 @@ fn hybrid_matches_sequential() {
         for seed in 0..10u64 {
             let hg = random_hypergraph(seed.wrapping_add(1300), 10, 10, 4);
             for k in 1..=3usize {
-                let a = seq.decide(&hg, k, &ctrl).unwrap();
-                let got = hybrid.decompose(&hg, k, &ctrl).unwrap();
+                let a = search(&seq, &hg, k, &ctrl).is_some();
+                let got = search(&hybrid, &hg, k, &ctrl);
                 assert_eq!(a, got.is_some(), "seed={seed} k={k} metric={metric:?}");
                 if let Some(d) = got {
                     validate_hd_width(&hg, &d, k).unwrap();
@@ -320,7 +329,7 @@ fn optimized_matches_oracle_on_larger_random_instances() {
         let hg = random_hypergraph(seed.wrapping_add(4000), 10, 9, 3);
         for k in 1..=2usize {
             let want = oracle.decide(&hg, k, &ctrl).unwrap();
-            let got = fast.decompose(&hg, k, &ctrl).unwrap();
+            let got = search(&fast, &hg, k, &ctrl);
             assert_eq!(want, got.is_some(), "seed={seed} k={k}\n{hg:?}");
             if let Some(d) = got {
                 validate_hd_width(&hg, &d, k).unwrap();

@@ -4,7 +4,7 @@
 //! reduction eliminates all of its edges. The reduction repeatedly
 //! 1. removes *ear vertices* — vertices occurring in exactly one edge, and
 //! 2. removes an edge contained in another (surviving) edge, recording the
-//!    container as its *witness* (which yields a join forest).
+//!    container as its *witness* (which yields a join tree).
 
 use crate::bitset::{Edge, EdgeSet, Vertex, VertexSet};
 use crate::graph::Hypergraph;
@@ -15,7 +15,9 @@ pub struct GyoResult {
     /// Whether the hypergraph is α-acyclic (equivalently, hw ≤ 1).
     pub acyclic: bool,
     /// For each eliminated edge, the surviving edge it was folded into.
-    /// Together these parent links form a join forest when `acyclic`.
+    /// Together these parent links form a join tree when `acyclic`: an
+    /// emptied edge folds into any alive one, so the last survivor is the
+    /// only edge without a parent.
     pub witness: Vec<Option<Edge>>,
     /// Edges still alive when the reduction got stuck (empty iff acyclic).
     pub residue: EdgeSet,

@@ -1,11 +1,12 @@
 //! The engine registry, and the algorithm portfolio that races it.
 //!
 //! [`EngineKind`] names every engine in the workspace and [`Engine`] is
-//! one configured engine. [`Engine::decide`] is the only place that
-//! turns an engine identity into a solver call and a raw answer into a
-//! [`Verdict`]; [`Engine::sweep`] iterates it over widths. The `lkd`
-//! CLI, the harness tables and [`Portfolio::race`] all consume it, so
-//! they share one verdict rule.
+//! one configured engine. [`Engine::decide`] (the bounds pass, then
+//! [`Engine::search`]) is the only place that turns an engine identity
+//! into a solver call and a raw answer into a [`Verdict`];
+//! [`Engine::sweep`] iterates it over widths. The `lkd` CLI, the harness
+//! tables and [`Portfolio::race`] all consume it, so they share one
+//! verdict rule.
 //!
 //! A [`Portfolio`] races every engine on the *same* `hw(H) ≤ k`
 //! question, first definitive verdict wins. BalancedGo ships exactly
@@ -37,7 +38,11 @@
 //! kinds inside their solve and the others in [`Engine::decide`]. GYO
 //! answers `k = 1` for every engine, so there `ghd` refutes instead of
 //! missing; a minor-min-width refutation is `Refuted` for every engine.
-//! The pass's witness is validated like any other.
+//! The pass's witness is validated like any other. A race runs the pass
+//! once, before it launches any racer: a call it settles is answered
+//! without racing (every engine would give the same answer, and the
+//! field's first engine is named the winner), and otherwise every racer
+//! runs its search alone.
 //!
 //! # Join precedence
 //!
@@ -203,34 +208,44 @@ impl Engine {
     }
 
     /// Runs the engine at width `k` under `ctrl` and classifies its
-    /// answer (see the [module docs](self)). The `logk` kinds also
-    /// return their search statistics.
+    /// answer (see the [module docs](self)): the bounds pass, then
+    /// [`Self::search`]. The `logk` kinds also return their search
+    /// statistics.
     pub fn decide(
         &self,
         hg: &Hypergraph,
         k: usize,
         ctrl: &Control,
     ) -> Result<(Verdict, Option<SolveStats>), Interrupted> {
-        // The `logk` kinds run the bounds pass inside their solve; every
-        // other engine gets the same pass here, under the same rule.
-        let settled = match self.kind {
-            EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid => None,
-            _ => {
-                ctrl.checkpoint_coarse()?;
-                logk::settle(hg, k)
-            }
-        };
-        let (witness, stats, no_witness) = match (settled, self.kind) {
-            (Some(s), _) => (s.into_witness(), None, Verdict::Refuted),
-            (None, EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid) => {
-                let (d, stats) = self.logk().decompose_with_stats(hg, k, ctrl)?;
+        if self.is_logk() {
+            // The `logk` kinds run the pass inside their solve, which
+            // records in their statistics which bound settled the call.
+            let (d, stats) = self.logk().decompose_with_stats(hg, k, ctrl)?;
+            return Ok((self.classify(hg, k, d, Verdict::Refuted), Some(stats)));
+        }
+        ctrl.checkpoint_coarse()?;
+        match logk::settle(hg, k) {
+            Some(s) => Ok((self.settled(hg, k, s), None)),
+            None => self.search(hg, k, ctrl),
+        }
+    }
+
+    /// The engine alone, without the bounds pass: what a racer runs once
+    /// [`Portfolio::race`] has run the pass for the whole field.
+    pub fn search(
+        &self,
+        hg: &Hypergraph,
+        k: usize,
+        ctrl: &Control,
+    ) -> Result<(Verdict, Option<SolveStats>), Interrupted> {
+        let (witness, stats, no_witness) = match self.kind {
+            EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid => {
+                let (d, stats) = self.logk().search_with_stats(hg, k, ctrl)?;
                 (d, Some(stats), Verdict::Refuted)
             }
-            (None, EngineKind::Detk) => {
-                (detk::decompose_detk(hg, k, ctrl)?, None, Verdict::Refuted)
-            }
-            (None, EngineKind::Ghd) => (ghd::decompose_ghd(hg, k, ctrl)?, None, Verdict::Miss),
-            (None, EngineKind::HtdSat) => match htdsat::decide_ghw(hg, k, ctrl) {
+            EngineKind::Detk => (detk::decompose_detk(hg, k, ctrl)?, None, Verdict::Refuted),
+            EngineKind::Ghd => (ghd::decompose_ghd(hg, k, ctrl)?, None, Verdict::Miss),
+            EngineKind::HtdSat => match htdsat::decide_ghw(hg, k, ctrl) {
                 Ok(d) => (d, None, Verdict::Refuted),
                 Err(htdsat::HtdSatError::Interrupted(e)) => return Err(e),
                 Err(htdsat::HtdSatError::EncodingTooLarge { .. }) => {
@@ -238,22 +253,37 @@ impl Engine {
                 }
             },
         };
-        let verdict = match witness {
-            None => no_witness,
-            Some(d) => match validate_hd_width(hg, &d, k) {
-                Ok(()) => Verdict::Hd(d),
-                // The width and GHD conditions are checked before the
-                // special condition, so failing only the latter leaves a
-                // GHD of width ≤ k — all the GHD engines promise.
-                Err(Violation::SpecialCondition { .. })
-                    if matches!(self.kind, EngineKind::Ghd | EngineKind::HtdSat) =>
-                {
-                    Verdict::Ghd(d)
-                }
-                Err(_) => Verdict::Invalid,
-            },
-        };
-        Ok((verdict, stats))
+        Ok((self.classify(hg, k, witness, no_witness), stats))
+    }
+
+    /// The verdict on an answer of the bounds pass: a refutation is
+    /// `Refuted` for every kind, and a witness is validated like any other.
+    fn settled(&self, hg: &Hypergraph, k: usize, settled: logk::Settled) -> Verdict {
+        self.classify(hg, k, settled.into_witness(), Verdict::Refuted)
+    }
+
+    /// Classifies a raw answer: `no_witness` when there is none, else the
+    /// witness's validation outcome (see the [module docs](self)).
+    fn classify(
+        &self,
+        hg: &Hypergraph,
+        k: usize,
+        witness: Option<Decomposition>,
+        no_witness: Verdict,
+    ) -> Verdict {
+        let Some(d) = witness else { return no_witness };
+        match validate_hd_width(hg, &d, k) {
+            Ok(()) => Verdict::Hd(d),
+            // The width and GHD conditions are checked before the
+            // special condition, so failing only the latter leaves a
+            // GHD of width ≤ k — all the GHD engines promise.
+            Err(Violation::SpecialCondition { .. })
+                if matches!(self.kind, EngineKind::Ghd | EngineKind::HtdSat) =>
+            {
+                Verdict::Ghd(d)
+            }
+            Err(_) => Verdict::Invalid,
+        }
     }
 
     /// [`Self::decide`] at each width of `widths` in turn, stopping at
@@ -278,6 +308,13 @@ impl Engine {
             }
         }
         Ok(None)
+    }
+
+    fn is_logk(&self) -> bool {
+        matches!(
+            self.kind,
+            EngineKind::LogkSeq | EngineKind::LogkPar | EngineKind::LogkHybrid
+        )
     }
 
     fn logk(&self) -> LogK {
@@ -348,9 +385,30 @@ impl Portfolio {
     /// precedence. Never panics on a panicking racer — the panic is
     /// contained on the racer's thread and the race continues.
     pub fn race(&self, hg: &Hypergraph, k: usize, ctrl: &Arc<Control>) -> RaceOutcome {
+        let mut stats = RaceStats::default();
+        // The bounds pass is the same for every engine, so it runs once
+        // here and the racers search without it. A call it settles is
+        // answered without racing, in the field's first engine's name.
+        if let Err(e) = ctrl.checkpoint_coarse() {
+            return RaceOutcome {
+                verdict: Err(e),
+                winner: None,
+                stats,
+            };
+        }
+        if let (Some(first), Some(s)) = (self.engines.first(), logk::settle(hg, k)) {
+            // An invalid pass witness is not trusted: the field searches.
+            if let Some(answer) = first.settled(hg, k, s).hw_answer() {
+                return RaceOutcome {
+                    verdict: Ok(answer),
+                    winner: Some(first.kind),
+                    stats,
+                };
+            }
+        }
+
         let race_root = ctrl.child();
         let _guard = CancelOnDrop(&race_root);
-        let mut stats = RaceStats::default();
         let mut verdict: Option<(EngineKind, Option<Decomposition>)> = None;
         let mut interrupted: Option<Interrupted> = None;
 
@@ -369,7 +427,7 @@ impl Portfolio {
                 scope.spawn(move || {
                     let msg = panic::catch_unwind(AssertUnwindSafe(|| {
                         decomp::faults::hit_ctrl("portfolio/engine", &engine_ctrl);
-                        engine.decide(hg, k, &engine_ctrl).map(|(v, _)| v)
+                        engine.search(hg, k, &engine_ctrl).map(|(v, _)| v)
                     }))
                     .ok();
                     let _ = tx.send((i, msg));
@@ -463,6 +521,29 @@ mod tests {
         let out = Portfolio::full(1).race(&hg, 1, &ctrl);
         assert!(matches!(out.verdict, Ok(None)), "cycles have hw 2");
         assert!(out.winner.is_some());
+    }
+
+    /// The race runs the bounds pass once: a call it settles (GYO at
+    /// k = 1 either way, the minor bound on a clique) launches no racer.
+    #[test]
+    fn race_settles_before_launching_racers() {
+        let ctrl = Arc::new(Control::unlimited());
+        let port = Portfolio::full(2);
+        let path = families::path(8);
+        for (hg, k, yes) in [
+            (&path, 1, true),
+            (&families::cycle(12), 1, false),
+            (&families::clique(7), 2, false),
+        ] {
+            let out = port.race(hg, k, &ctrl);
+            let answer = out.verdict.expect("definitive");
+            assert_eq!(answer.is_some(), yes, "{hg:?} at {k}");
+            if let Some(d) = answer {
+                assert!(validate_hd_width(hg, &d, k).is_ok());
+            }
+            assert_eq!(out.winner, Some(EngineKind::LogkSeq));
+            assert_eq!(out.stats.probes, 0, "{hg:?} at {k}");
+        }
     }
 
     #[test]

@@ -96,14 +96,15 @@ proptest! {
         }
     }
 
-    /// The optimised engine and det-k-decomp agree on decidability for
-    /// every k, and every witness passes the full validator.
+    /// The optimised engine's search (without the bounds pass) and
+    /// det-k-decomp agree on decidability for every k, and every witness
+    /// passes the full validator.
     #[test]
     fn optimized_and_detk_agree(hg in arb_hypergraph()) {
         let ctrl = Control::unlimited();
         let solver = LogK::sequential();
         for k in 1..=3usize {
-            let a = solver.decompose(&hg, k, &ctrl).unwrap();
+            let (a, _) = solver.search_with_stats(&hg, k, &ctrl).unwrap();
             let b = detk::decide_detk(&hg, k, &ctrl).unwrap();
             prop_assert_eq!(a.is_some(), b, "k={}", k);
             if let Some(d) = a {
@@ -112,13 +113,14 @@ proptest! {
         }
     }
 
-    /// GYO acyclicity coincides with hw ≤ 1.
+    /// GYO acyclicity coincides with hw ≤ 1 as the search decides it
+    /// (through `decide` the bounds pass would answer k = 1 with GYO).
     #[test]
     fn gyo_matches_width_one(hg in arb_hypergraph()) {
         let ctrl = Control::unlimited();
         let acyclic = hypergraph::is_acyclic(&hg);
-        let hd1 = LogK::sequential().decide(&hg, 1, &ctrl).unwrap();
-        prop_assert_eq!(acyclic, hd1);
+        let (hd1, _) = LogK::sequential().search_with_stats(&hg, 1, &ctrl).unwrap();
+        prop_assert_eq!(acyclic, hd1.is_some());
     }
 
     /// Monotonicity: if hw ≤ k then hw ≤ k+1 (search spaces nest).

@@ -220,9 +220,14 @@ fn portfolio_verdict_matches_sequential_engine() {
 #[test]
 fn portfolio_cancels_losers_within_latency() {
     // grid7x7 at k = 2: logk refutes in milliseconds; the SAT encoding
-    // alone solves for ~300 ms release (`tests/interruption.rs` uses it
-    // as its SAT-hard instance), far past LATENCY in debug builds.
-    let hg = families::grid(7, 7);
+    // alone solves for ~800 ms release, far past LATENCY in debug builds.
+    // The race's bounds pass refutes the bare grid before any racer
+    // starts (minor-min-width 4 = k · r), leaving no loser to cancel; a
+    // disjoint 3-vertex edge lifts r to 3, so the pass leaves this copy
+    // to the racers without changing its width.
+    let wide = hypergraph::Hypergraph::from_edge_lists(&[vec![0, 1, 2]]);
+    let hg = families::disjoint_union(&[families::grid(7, 7), wide]);
+    assert!(logk::settle(&hg, 2).is_none());
     let port = portfolio::Portfolio::full(1);
     let ctrl = Arc::new(Control::unlimited());
     let t0 = Instant::now();
