@@ -33,7 +33,7 @@
 //! would overflow — entries touched since the last sweep get a second
 //! chance, cold entries are evicted until the new entry fits.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use decomp::{ClockEviction, Fragment, InsertOutcome, PortableFragment, StripedTable};
@@ -50,42 +50,36 @@ enum Verdict {
     Positive(Arc<PortableFragment>),
 }
 
-/// Monotone counters, shared across rayon branches. (Evictions live in
-/// the shared table's policy totals.)
-#[derive(Debug, Default)]
-struct Counters {
-    pos_hits: AtomicU64,
-    neg_hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    rejected: AtomicU64,
-    id_rewrites: AtomicU64,
-}
+decomp::counters! {
+    /// A point-in-time snapshot of cache state, for stats reporting.
+    pub struct CacheSnapshot {
+        /// Entries evicted by the second-chance sweep.
+        evictions: u64 = sum,
+        /// Entries currently stored.
+        entries: usize = max,
+        /// Estimated bytes currently stored.
+        bytes: usize = max,
+        /// Configured byte budget (0 = cache disabled).
+        byte_budget: usize = max,
+    }
 
-/// A point-in-time snapshot of cache state, for stats reporting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Lookups answered with a reusable fragment.
-    pub pos_hits: u64,
-    /// Lookups answered "known unsolvable".
-    pub neg_hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Entries evicted by the second-chance sweep.
-    pub evictions: u64,
-    /// Insertions dropped because eviction could not make room.
-    pub rejected: u64,
-    /// Special-leaf id rewrites performed while re-interning positive
-    /// fragments into prober arenas.
-    pub id_rewrites: u64,
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Estimated bytes currently stored.
-    pub bytes: usize,
-    /// Configured byte budget (0 = cache disabled).
-    pub byte_budget: usize,
+    /// Monotone counters, shared across rayon branches. (Evictions live
+    /// in the shared table's policy totals.)
+    atomic Counters {
+        /// Lookups answered with a reusable fragment.
+        pos_hits: u64 = sum,
+        /// Lookups answered "known unsolvable".
+        neg_hits: u64 = sum,
+        /// Lookups that found nothing.
+        misses: u64 = sum,
+        /// Entries inserted.
+        inserts: u64 = sum,
+        /// Insertions dropped because eviction could not make room.
+        rejected: u64 = sum,
+        /// Special-leaf id rewrites performed while re-interning positive
+        /// fragments into prober arenas.
+        id_rewrites: u64 = sum,
+    }
 }
 
 impl CacheSnapshot {
@@ -257,16 +251,11 @@ impl SubproblemCache {
     /// Point-in-time snapshot of counters and footprint.
     pub fn snapshot(&self) -> CacheSnapshot {
         CacheSnapshot {
-            pos_hits: self.counters.pos_hits.load(Ordering::Relaxed),
-            neg_hits: self.counters.neg_hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            inserts: self.counters.inserts.load(Ordering::Relaxed),
             evictions: self.table.totals().evictions(),
-            rejected: self.counters.rejected.load(Ordering::Relaxed),
-            id_rewrites: self.counters.id_rewrites.load(Ordering::Relaxed),
             entries: self.table.len(),
             bytes: self.table.totals().bytes(),
             byte_budget: self.table.policy().byte_budget(),
+            ..self.counters.snapshot()
         }
     }
 }

@@ -52,7 +52,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use decomp::{rebase_fragment, Control, Decomposition, Fragment, Interrupted};
@@ -67,6 +67,7 @@ use hypergraph::{
 };
 
 use crate::cache::{CacheSnapshot, Probe, SubproblemCache};
+use crate::settle::SettledBy;
 
 /// Default byte budget for the subproblem cache (32 MiB),
 /// mirroring the memory-limit discipline of the paper's experiments.
@@ -340,133 +341,88 @@ fn poll(ctrl: &Control, prune: Option<&Prune<'_>>) -> Result<(), Stop> {
     Ok(())
 }
 
-/// Search statistics, collected during a solve.
-///
-/// `max_depth` is the deepest `Decomp` recursion reached — Theorem 4.1
-/// bounds it by `O(log |E(H)|)`, and the test suite asserts that bound
-/// empirically on scalable families.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    /// Deepest recursion level of `Decomp`.
-    pub max_depth: AtomicUsize,
-    /// Total number of `Decomp` invocations.
-    pub decomp_calls: AtomicU64,
-    /// Scratch-workspace bundles allocated (one per recursion level per
-    /// search context; constant in the steady state — the hot path itself
-    /// allocates nothing).
-    pub scratch_allocs: AtomicU64,
-    /// Buffer growth events *inside* the scratch workspaces (a warm
-    /// buffer needing to reallocate, e.g. after a larger hypergraph) —
-    /// the fine-grained allocation meter behind the zero-steady-state
-    /// claim. Collected from each scratch stack as it retires.
-    pub scratch_grow_events: AtomicU64,
-    /// Arena checkpoints handed to parallel branches. Each is an `Arc`
-    /// bump over the sealed prefix, not a deep copy.
-    pub arena_branch_clones: AtomicU64,
-    /// Hybrid handoffs to `det-k-decomp`.
-    pub detk_handoffs: AtomicU64,
-    /// Largest memo-table size observed across `det-k-decomp` handoffs.
-    pub detk_cache_peak: AtomicUsize,
-    /// λc candidates enumerated but rejected (no progress, unbalanced, or
-    /// no completable parent/child pair). The candidate-order heuristic
-    /// exists to shrink this number.
-    pub lambda_c_rejected: AtomicU64,
-    /// λp candidates enumerated but rejected.
-    pub lambda_p_rejected: AtomicU64,
-    /// λp candidate sets discarded by the admissibility pre-filter
-    /// before the BFS stage. An *upper bound* on separations avoided:
-    /// whole parent loops skipped by the per-λc test count their full
-    /// subset space, parts of which the cheap pre-BFS checks (new-edge,
-    /// k-bound) would also have rejected — `separations` is the exact
-    /// complementary count of BFS calls that did run.
-    pub lambda_p_prefiltered: AtomicU64,
-    /// `separate_into` calls performed (λc splits, λp splits and
-    /// `[χc]`-splits of `comp_down`) — the denominator the pre-filter
-    /// exists to shrink.
-    pub separations: AtomicU64,
-    /// Sibling-child loops (`try_as_root`/`finish_pair`) that fanned their
-    /// components out on the pool instead of recursing sequentially.
-    pub child_splits: AtomicU64,
-    /// Sibling child recursions cancelled by a fail-fast join: a sibling's
-    /// definitive rejection (or an interruption, or an outer race win)
-    /// pruned them before they produced a verdict.
-    pub child_cancels: AtomicU64,
-    /// Child-branch fragments folded back under the parent arena at a
-    /// fork/merge join (each is one `decomp::rebase_fragment` pass; under
-    /// the engines' stack discipline the pass rewrites no ids — it is the
-    /// soundness backstop of the fork/merge protocol).
-    pub arena_rebases: AtomicU64,
-}
-
-impl EngineStats {
-    /// Snapshot of the deepest recursion level.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth.load(Ordering::Relaxed)
+decomp::counters! {
+    /// Search statistics returned by
+    /// [`LogK::decompose_with_stats`](crate::LogK::decompose_with_stats)
+    /// and [`LogK::search_with_stats`](crate::LogK::search_with_stats):
+    /// the [`EngineStats`] counters, plus what the solver fills in around
+    /// the search.
+    pub struct SolveStats {
+        /// Jobs the pool's workers stole from a sibling's deque during the
+        /// solve — the work-stealing runtime actually redistributing load
+        /// (0 for sequential engines and degenerate 1-worker pools).
+        sched_steals: u64 = sum,
+        /// Times a pool worker parked for lack of work during the solve —
+        /// idle capacity the λc race did not fill.
+        sched_parks: u64 = sum,
+        /// Configured `det-k-decomp` memo cap (diagnostics).
+        detk_cache_cap: usize = max,
+        /// Counters of the `det-k-decomp` memo table shared across handoffs.
+        detk_memo: MemoSnapshot = merge,
+        /// Unified subproblem-cache counters (positive + negative verdicts,
+        /// eviction, id rewrites).
+        cache: CacheSnapshot = merge,
+        /// The certified bound that answered before the search, if any.
+        settled_by: SettledBy = keep,
     }
 
-    /// Snapshot of the call count.
-    pub fn decomp_calls(&self) -> u64 {
-        self.decomp_calls.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of scratch bundles allocated.
-    pub fn scratch_allocs(&self) -> u64 {
-        self.scratch_allocs.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of buffer growths inside scratch workspaces.
-    pub fn scratch_grow_events(&self) -> u64 {
-        self.scratch_grow_events.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of cheap arena checkpoints handed to branches.
-    pub fn arena_branch_clones(&self) -> u64 {
-        self.arena_branch_clones.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of `det-k-decomp` handoffs.
-    pub fn detk_handoffs(&self) -> u64 {
-        self.detk_handoffs.load(Ordering::Relaxed)
-    }
-
-    /// Largest `det-k-decomp` memo table observed.
-    pub fn detk_cache_peak(&self) -> usize {
-        self.detk_cache_peak.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of rejected λc candidates.
-    pub fn lambda_c_rejected(&self) -> u64 {
-        self.lambda_c_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of rejected λp candidates.
-    pub fn lambda_p_rejected(&self) -> u64 {
-        self.lambda_p_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of pre-filtered λp candidate sets (separations avoided).
-    pub fn lambda_p_prefiltered(&self) -> u64 {
-        self.lambda_p_prefiltered.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of `separate_into` calls performed.
-    pub fn separations(&self) -> u64 {
-        self.separations.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of sibling-child loops fanned out on the pool.
-    pub fn child_splits(&self) -> u64 {
-        self.child_splits.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of sibling child recursions cancelled by fail-fast joins.
-    pub fn child_cancels(&self) -> u64 {
-        self.child_cancels.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of child-branch fragments rebased under their parent arena.
-    pub fn arena_rebases(&self) -> u64 {
-        self.arena_rebases.load(Ordering::Relaxed)
+    /// Search counters, bumped during a solve; `snapshot()` reads them
+    /// into a [`SolveStats`].
+    pub atomic EngineStats {
+        /// Deepest `Decomp` recursion level — `O(log |E(H)|)` by Theorem 4.1,
+        /// which the test suite checks on scalable families.
+        max_depth: usize = max,
+        /// Total `Decomp` invocations.
+        decomp_calls: u64 = sum,
+        /// Scratch-workspace bundles allocated (one per recursion level per
+        /// search context; constant in the steady state — the hot path
+        /// itself allocates nothing).
+        scratch_allocs: u64 = sum,
+        /// Buffer growth events *inside* the scratch workspaces (a warm
+        /// buffer needing to reallocate, e.g. after a larger hypergraph) —
+        /// the fine-grained allocation meter behind the zero-steady-state
+        /// claim. Collected from each scratch stack as it retires.
+        scratch_grow_events: u64 = sum,
+        /// Arena checkpoints handed to parallel branches. Each is an `Arc`
+        /// bump over the sealed prefix, not a deep copy (0 for sequential
+        /// engines and 1-worker pools).
+        arena_branch_clones: u64 = sum,
+        /// Hybrid handoffs to `det-k-decomp`.
+        detk_handoffs: u64 = sum,
+        /// Largest memo-table size observed across `det-k-decomp` handoffs.
+        detk_cache_peak: usize = max,
+        /// λc candidates enumerated but rejected (no progress, unbalanced,
+        /// or no completable parent/child pair).
+        lambda_c_rejected: u64 = sum,
+        /// λp candidates enumerated but rejected.
+        lambda_p_rejected: u64 = sum,
+        /// λp candidate sets discarded by the admissibility pre-filter
+        /// before the BFS stage. An *upper bound* on separations avoided:
+        /// whole parent loops skipped by the per-λc test count their full
+        /// subset space, parts of which the cheap pre-BFS checks (new-edge,
+        /// k-bound) would also have rejected — `separations` is the exact
+        /// complementary count of BFS calls that did run.
+        lambda_p_prefiltered: u64 = sum,
+        /// `separate_into` calls performed (λc splits, λp splits and
+        /// `[χc]`-splits of `comp_down`) — the denominator the pre-filter
+        /// exists to shrink.
+        separations: u64 = sum,
+        /// Sibling-child loops (`try_as_root`/`finish_pair`) that fanned
+        /// their components out on the pool instead of recursing
+        /// sequentially — 0 for sequential engines, 1-worker pools, and
+        /// loops below the
+        /// [`LogK::with_child_split`](crate::LogK::with_child_split) grain
+        /// floors.
+        child_splits: u64 = sum,
+        /// Sibling child recursions cancelled by a fail-fast join: a
+        /// sibling's definitive rejection (or an interruption, or an outer
+        /// race win) pruned them before they produced a verdict.
+        child_cancels: u64 = sum,
+        /// Child-branch fragments folded back under the parent arena at a
+        /// fork/merge join (each is one `decomp::rebase_fragment` pass;
+        /// under the engines' stack discipline the pass rewrites no ids —
+        /// it is the soundness backstop of the fork/merge protocol).
+        arena_rebases: u64 = sum,
     }
 }
 

@@ -43,30 +43,22 @@ use hypergraph::Hypergraph;
 
 use crate::solver::{width_bounds_with, LogK, WidthBounds};
 
-/// Counters of a racing sweep (or an algorithm-portfolio race): how much
-/// speculation happened and how much of it was cut short or wasted.
-/// Zero for the sequential fast path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RaceStats {
-    /// Probes (or portfolio racers) launched.
-    pub probes: u64,
-    /// Probes cancelled before producing a verdict because a
-    /// neighbour's verdict made them redundant (a witness below their
-    /// width, a refutation above it, or the race resolving outright).
-    pub race_cancels: u64,
-    /// Probes that ran to a verdict the race did not use — a witness at
-    /// a width the sweep had already beaten, a refutation already
-    /// implied by a higher one, or a portfolio racer finishing after
-    /// the verdict was in.
-    pub speculative_wasted: u64,
-}
-
-impl RaceStats {
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &RaceStats) {
-        self.probes += other.probes;
-        self.race_cancels += other.race_cancels;
-        self.speculative_wasted += other.speculative_wasted;
+decomp::counters! {
+    /// Counters of a racing sweep (or an algorithm-portfolio race): how
+    /// much speculation happened and how much of it was cut short or
+    /// wasted. Zero for the sequential fast path.
+    pub struct RaceStats {
+        /// Probes (or portfolio racers) launched.
+        probes: u64 = sum,
+        /// Probes cancelled before producing a verdict because a
+        /// neighbour's verdict made them redundant (a witness below their
+        /// width, a refutation above it, or the race resolving outright).
+        race_cancels: u64 = sum,
+        /// Probes that ran to a verdict the race did not use — a witness
+        /// at a width the sweep had already beaten, a refutation already
+        /// implied by a higher one, or a portfolio racer finishing after
+        /// the verdict was in.
+        speculative_wasted: u64 = sum,
     }
 }
 

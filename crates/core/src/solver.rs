@@ -26,11 +26,10 @@ use rayon::ThreadPool;
 
 use crate::cache::{CacheSnapshot, SubproblemCache};
 use crate::engine::{
-    EngineConfig, HybridConfig, HybridMetric, LogKEngine, LpMode, DEFAULT_CACHE_BYTES,
+    EngineConfig, HybridConfig, HybridMetric, LogKEngine, LpMode, SolveStats, DEFAULT_CACHE_BYTES,
     DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE, DEFAULT_DETK_CACHE_CAP,
     DEFAULT_POS_CACHE_MAX_FRAG,
 };
-use crate::settle::SettledBy;
 use detk::{MemoSnapshot, SharedMemo};
 
 /// Process-wide cache of work-stealing pools, keyed by worker count.
@@ -468,29 +467,13 @@ impl LogK {
                     Interrupted,
                 > {
                     let d = engine.decompose()?;
+                    // Scheduler activity is attributed by the caller
+                    // (per-pool totals or ambient-pool delta).
                     let stats = SolveStats {
-                        max_depth: engine.stats().max_depth(),
-                        decomp_calls: engine.stats().decomp_calls(),
-                        scratch_allocs: engine.stats().scratch_allocs(),
-                        scratch_grow_events: engine.stats().scratch_grow_events(),
-                        arena_branch_clones: engine.stats().arena_branch_clones(),
-                        child_splits: engine.stats().child_splits(),
-                        child_cancels: engine.stats().child_cancels(),
-                        arena_rebases: engine.stats().arena_rebases(),
-                        lambda_c_rejected: engine.stats().lambda_c_rejected(),
-                        lambda_p_rejected: engine.stats().lambda_p_rejected(),
-                        lambda_p_prefiltered: engine.stats().lambda_p_prefiltered(),
-                        separations: engine.stats().separations(),
-                        // Scheduler activity is attributed by the caller
-                        // (per-pool totals or ambient-pool delta).
-                        sched_steals: 0,
-                        sched_parks: 0,
-                        detk_handoffs: engine.stats().detk_handoffs(),
-                        detk_cache_peak: engine.stats().detk_cache_peak(),
                         detk_cache_cap: self.detk_cache_cap,
                         detk_memo: engine.detk_memo_snapshot(),
                         cache: engine.cache_snapshot(),
-                        settled_by: SettledBy::Search,
+                        ..engine.stats().snapshot()
                     };
                     Ok((d, stats))
                 };
@@ -704,70 +687,4 @@ pub fn width_bounds_with(
         }
     }
     out
-}
-
-/// Search statistics returned by [`LogK::decompose_with_stats`] and
-/// [`LogK::search_with_stats`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SolveStats {
-    /// Deepest `Decomp` recursion level — `O(log |E(H)|)` by Theorem 4.1.
-    pub max_depth: usize,
-    /// Total `Decomp` invocations.
-    pub decomp_calls: u64,
-    /// Scratch-workspace bundles allocated over the whole solve (constant
-    /// in the steady state; the per-candidate hot path allocates nothing).
-    pub scratch_allocs: u64,
-    /// Buffer growths *inside* scratch workspaces (reallocation of a warm
-    /// buffer) — the fine-grained meter behind the zero-steady-state
-    /// allocation claim.
-    pub scratch_grow_events: u64,
-    /// Arena checkpoints handed to parallel branches (Arc bumps, not deep
-    /// copies) — 0 for sequential engines and 1-worker pools.
-    pub arena_branch_clones: u64,
-    /// Child loops (`try_as_root`/`finish_pair`) that fanned their sibling
-    /// subproblems out on the pool instead of recursing sequentially —
-    /// 0 for sequential engines, 1-worker pools, and loops below the
-    /// [`LogK::with_child_split`] grain floors.
-    pub child_splits: u64,
-    /// Sibling branches cancelled at a child join point by the fail-fast
-    /// link (a sibling's definitive rejection or interruption, or an
-    /// enclosing λc race ending) before producing a verdict.
-    pub child_cancels: u64,
-    /// Branch fragments folded back under their parent arena at child
-    /// join points (`decomp::rebase_fragment` passes; under the stack
-    /// discipline each pass verifies rather than rewrites).
-    pub arena_rebases: u64,
-    /// λc candidates enumerated but rejected — the number the
-    /// candidate-order heuristic (descending arity) exists to cut.
-    pub lambda_c_rejected: u64,
-    /// λp candidates enumerated but rejected.
-    pub lambda_p_rejected: u64,
-    /// λp candidate sets discarded by the admissibility pre-filter
-    /// before the BFS stage (an upper bound on separations avoided —
-    /// whole-loop skips count their full subset space; see
-    /// `EngineStats::lambda_p_prefiltered`).
-    pub lambda_p_prefiltered: u64,
-    /// `separate_into` calls performed — the cost the pre-filter cuts.
-    pub separations: u64,
-    /// Jobs the pool's workers stole from a sibling's deque during the
-    /// solve — the work-stealing runtime actually redistributing load
-    /// (0 for sequential engines and degenerate 1-worker pools).
-    pub sched_steals: u64,
-    /// Times a pool worker parked for lack of work during the solve —
-    /// idle capacity the λc race did not fill.
-    pub sched_parks: u64,
-    /// Hybrid handoffs to `det-k-decomp`.
-    pub detk_handoffs: u64,
-    /// Largest `det-k-decomp` memo table observed across handoffs.
-    pub detk_cache_peak: usize,
-    /// Configured `det-k-decomp` memo cap (diagnostics; previously the
-    /// hard-coded `1 << 20` inside `detk`).
-    pub detk_cache_cap: usize,
-    /// Counters of the `det-k-decomp` memo table shared across handoffs.
-    pub detk_memo: MemoSnapshot,
-    /// Unified subproblem-cache counters (positive + negative verdicts,
-    /// eviction, id rewrites).
-    pub cache: CacheSnapshot,
-    /// The certified bound that answered before the search, if any.
-    pub settled_by: SettledBy,
 }

@@ -22,7 +22,7 @@ fn solve_depth(hg: &Hypergraph, k: usize) -> usize {
     let engine = LogKEngine::new(hg, &ctrl, EngineConfig::sequential(k));
     let r = engine.decompose().unwrap();
     assert!(r.is_some(), "instance must be solvable at k={k}");
-    engine.stats().max_depth()
+    engine.stats().snapshot().max_depth
 }
 
 #[test]
@@ -134,7 +134,7 @@ fn search_effort_shrinks_with_optimisations() {
     let ctrl = Control::unlimited();
     let on = LogKEngine::new(&hg, &ctrl, EngineConfig::sequential(1));
     assert!(on.decompose().unwrap().is_none());
-    let calls_on = on.stats().decomp_calls();
+    let calls_on = on.stats().snapshot().decomp_calls;
 
     let off = LogKEngine::new(
         &hg,
@@ -146,7 +146,7 @@ fn search_effort_shrinks_with_optimisations() {
         },
     );
     assert!(off.decompose().unwrap().is_none());
-    let calls_off = off.stats().decomp_calls();
+    let calls_off = off.stats().snapshot().decomp_calls;
     assert!(
         calls_on <= calls_off,
         "optimisations increased work: {calls_on} > {calls_off}"

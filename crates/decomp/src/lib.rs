@@ -1,5 +1,8 @@
 //! Decomposition structures and validators.
 //!
+//! * [`counters`](mod@counters) — the [`counters!`] macro: one declaration per
+//!   statistics field, generating the snapshot, its atomic twin, the
+//!   merge and the field list;
 //! * [`tree`] — the [`Decomposition`] type (shared by HDs and GHDs);
 //! * [`fragment`] — HD-fragments with special-edge leaves and the
 //!   stitching operations used by `log-k-decomp`'s soundness construction;
@@ -18,6 +21,7 @@
 //! Decompositions in Logarithmic Recursion Depth.* PODS 2022.
 
 pub mod control;
+pub mod counters;
 pub mod export;
 pub mod faults;
 pub mod fragment;

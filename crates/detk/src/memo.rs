@@ -24,7 +24,7 @@
 //! policy, which mirrors the paper's memory-limit discipline: beyond the
 //! cap the table keeps serving hits but stops memoising.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use decomp::{EntryCap, Fragment, InsertOutcome, PortableFragment, StripedTable};
@@ -39,21 +39,26 @@ pub enum MemoProbe {
     Miss(u64),
 }
 
-/// Point-in-time counters of a [`SharedMemo`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoSnapshot {
-    /// Width bound the table's verdicts are relative to.
-    pub k: usize,
-    /// Lookups answered from the table.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Configured entry cap.
-    pub cap: usize,
+decomp::counters! {
+    /// Point-in-time counters of a [`SharedMemo`].
+    pub struct MemoSnapshot {
+        /// Width bound the table's verdicts are relative to.
+        k: usize = max,
+        /// Entries currently stored.
+        entries: usize = max,
+        /// Configured entry cap.
+        cap: usize = max,
+    }
+
+    /// The live lookup counters of a [`SharedMemo`].
+    atomic MemoCounters {
+        /// Lookups answered from the table.
+        hits: u64 = sum,
+        /// Lookups that found nothing.
+        misses: u64 = sum,
+        /// Entries inserted.
+        inserts: u64 = sum,
+    }
 }
 
 /// The shared `det-k-decomp` memo table. One instance serves every hybrid
@@ -68,9 +73,7 @@ pub struct SharedMemo {
     /// `k = 2` is meaningless at `k = 3` (and vice versa), so sharers are
     /// checked against this at attach time.
     k: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
+    counters: MemoCounters,
 }
 
 impl SharedMemo {
@@ -81,9 +84,7 @@ impl SharedMemo {
         SharedMemo {
             table: StripedTable::new(EntryCap::new(cap)),
             k,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            counters: MemoCounters::default(),
         }
     }
 
@@ -117,19 +118,19 @@ impl SharedMemo {
             .probe_with(arena, sub, conn, None, |result| result.clone());
         match hit {
             Some(None) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return MemoProbe::Hit(None);
             }
             Some(Some(pf)) => {
                 if let Some((frag, _rewrites)) = pf.instantiate(arena, &sub.specials) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
                     return MemoProbe::Hit(Some(frag));
                 }
                 debug_assert!(false, "matched memo entry failed to instantiate");
             }
             None => {}
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         MemoProbe::Miss(hash)
     }
 
@@ -151,7 +152,7 @@ impl SharedMemo {
             .as_ref()
             .map(|f| Arc::new(PortableFragment::from_fragment(f, arena)));
         if self.table.insert(hash, arena, sub, conn, None, value, 0) == InsertOutcome::Inserted {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
+            self.counters.inserts.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -159,11 +160,9 @@ impl SharedMemo {
     pub fn snapshot(&self) -> MemoSnapshot {
         MemoSnapshot {
             k: self.k,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
             entries: self.len(),
             cap: self.cap(),
+            ..self.counters.snapshot()
         }
     }
 }

@@ -19,5 +19,5 @@ pub mod tables;
 
 pub use config::ReproConfig;
 pub use run::{decide_width, find_optimal_width, Method, RunResult, RunStatus};
-pub use stats::{EngineCounters, Stats};
+pub use stats::Stats;
 pub use sweep::aggregate_counters;

@@ -6,10 +6,8 @@ use std::time::{Duration, Instant};
 
 use decomp::Control;
 use hypergraph::Hypergraph;
-use logk::{HybridConfig, HybridMetric};
+use logk::{HybridConfig, HybridMetric, SolveStats};
 use portfolio::{Engine, EngineKind, Verdict};
-
-use crate::stats::EngineCounters;
 
 /// The competing methods, named as in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -118,9 +116,11 @@ pub struct RunResult {
     pub width: Option<usize>,
     /// Wall-clock time of the run (whole optimal-width search).
     pub time: Duration,
-    /// Engine counters (recursion, memoisation, allocation) aggregated
-    /// over the width search — `log-k-decomp` methods only.
-    pub counters: Option<EngineCounters>,
+    /// Engine counters (recursion, memoisation, allocation) merged over
+    /// the width search's `log-k-decomp` solves.
+    pub counters: SolveStats,
+    /// Solves merged into `counters` (0 for the other methods).
+    pub solves: u64,
 }
 
 impl RunResult {
@@ -146,11 +146,11 @@ pub fn find_optimal_width(
 ) -> RunResult {
     let start = Instant::now();
     let ctrl = Control::with_timeout(budget);
-    let mut counters: Option<EngineCounters> = None;
+    let mut counters = SolveStats::default();
+    let mut solves = 0;
     let swept = method.engine().sweep(hg, 1..=k_max, &ctrl, |s| {
-        counters
-            .get_or_insert_with(EngineCounters::default)
-            .absorb(s)
+        counters.merge(s);
+        solves += 1;
     });
     let (status, width) = match swept {
         Ok(Some((k, Verdict::Hd(_) | Verdict::Ghd(_)))) => (RunStatus::Solved, Some(k)),
@@ -165,6 +165,7 @@ pub fn find_optimal_width(
         width,
         time: start.elapsed(),
         counters,
+        solves,
     }
 }
 

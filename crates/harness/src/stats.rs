@@ -1,10 +1,6 @@
 //! Runtime statistics in the paper's format: #solved, avg, max, stdev —
 //! averages taken over *solved* instances only (Section 5.1: "timed out
-//! instances are not considered in the running time calculation") — plus
-//! aggregated engine counters (recursion, memoisation, allocation) that
-//! the sweep reports alongside timings.
-
-use logk::SolveStats;
+//! instances are not considered in the running time calculation").
 
 /// Aggregate of solved-run times.
 #[derive(Clone, Copy, Debug, Default)]
@@ -46,202 +42,6 @@ impl Stats {
     }
 }
 
-/// Aggregated `log-k-decomp` engine counters over one or more solves:
-/// recursion profile, negative-cache effectiveness, `det-k-decomp` handoff
-/// memoisation, and allocation behaviour of the scratch workspaces.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineCounters {
-    /// Solves absorbed into this aggregate.
-    pub solves: u64,
-    /// Total `Decomp` invocations.
-    pub decomp_calls: u64,
-    /// Deepest recursion level observed.
-    pub max_depth: usize,
-    /// Subproblem-cache positive hits (fragments reused).
-    pub cache_pos_hits: u64,
-    /// Subproblem-cache negative hits (refutations reused).
-    pub cache_neg_hits: u64,
-    /// Subproblem-cache misses.
-    pub cache_misses: u64,
-    /// Subproblem-cache insertions.
-    pub cache_inserts: u64,
-    /// Entries evicted by the second-chance sweep.
-    pub cache_evictions: u64,
-    /// Special-leaf id rewrites while re-interning positive fragments.
-    pub cache_id_rewrites: u64,
-    /// Largest cache footprint observed (bytes).
-    pub cache_bytes_peak: usize,
-    /// Hybrid handoffs to `det-k-decomp`.
-    pub detk_handoffs: u64,
-    /// Hits of the shared `det-k-decomp` memo table.
-    pub detk_memo_hits: u64,
-    /// Misses of the shared `det-k-decomp` memo table.
-    pub detk_memo_misses: u64,
-    /// Largest `det-k-decomp` memo table observed (entries).
-    pub detk_cache_peak: usize,
-    /// Configured `det-k-decomp` memo cap (entries).
-    pub detk_cache_cap: usize,
-    /// λc candidates enumerated but rejected.
-    pub lambda_c_rejected: u64,
-    /// λp candidates enumerated but rejected.
-    pub lambda_p_rejected: u64,
-    /// λp candidate sets cut by the admissibility pre-filter before
-    /// the BFS stage (upper bound on separations avoided: whole-loop
-    /// skips count their full subset space).
-    pub lambda_p_prefiltered: u64,
-    /// `separate_into` calls performed — the denominator the λp
-    /// pre-filter and split memo exist to shrink.
-    pub separations: u64,
-    /// Pool-worker deque steals during `log-k-decomp` solves — the
-    /// work-stealing scheduler redistributing uneven λc subtrees.
-    pub sched_steals: u64,
-    /// Pool-worker parks during solves — idle capacity the race left.
-    pub sched_parks: u64,
-    /// Scratch-workspace bundles allocated.
-    pub scratch_allocs: u64,
-    /// Buffer growths inside scratch workspaces.
-    pub scratch_grow_events: u64,
-    /// Cheap (Arc-bump) arena checkpoints handed to parallel branches.
-    pub arena_branch_clones: u64,
-    /// Child loops that fanned their sibling subproblems out on the pool
-    /// (below-children parallelism) instead of recursing sequentially.
-    pub child_splits: u64,
-    /// Sibling branches cancelled at child join points by the fail-fast
-    /// link before producing a verdict.
-    pub child_cancels: u64,
-    /// Branch fragments folded back under their parent arena at child
-    /// join points (rebase passes).
-    pub arena_rebases: u64,
-}
-
-impl From<&SolveStats> for EngineCounters {
-    fn from(s: &SolveStats) -> Self {
-        EngineCounters {
-            solves: 1,
-            decomp_calls: s.decomp_calls,
-            max_depth: s.max_depth,
-            cache_pos_hits: s.cache.pos_hits,
-            cache_neg_hits: s.cache.neg_hits,
-            cache_misses: s.cache.misses,
-            cache_inserts: s.cache.inserts,
-            cache_evictions: s.cache.evictions,
-            cache_id_rewrites: s.cache.id_rewrites,
-            cache_bytes_peak: s.cache.bytes,
-            detk_handoffs: s.detk_handoffs,
-            detk_memo_hits: s.detk_memo.hits,
-            detk_memo_misses: s.detk_memo.misses,
-            detk_cache_peak: s.detk_cache_peak,
-            detk_cache_cap: s.detk_cache_cap,
-            lambda_c_rejected: s.lambda_c_rejected,
-            lambda_p_rejected: s.lambda_p_rejected,
-            lambda_p_prefiltered: s.lambda_p_prefiltered,
-            separations: s.separations,
-            sched_steals: s.sched_steals,
-            sched_parks: s.sched_parks,
-            scratch_allocs: s.scratch_allocs,
-            scratch_grow_events: s.scratch_grow_events,
-            arena_branch_clones: s.arena_branch_clones,
-            child_splits: s.child_splits,
-            child_cancels: s.child_cancels,
-            arena_rebases: s.arena_rebases,
-        }
-    }
-}
-
-impl EngineCounters {
-    /// Folds one solve's statistics into the aggregate.
-    pub fn absorb(&mut self, s: &SolveStats) {
-        self.merge(&EngineCounters::from(s));
-    }
-
-    /// Folds another aggregate into this one (sums the monotone
-    /// counters, maxes the peaks).
-    pub fn merge(&mut self, other: &EngineCounters) {
-        self.solves += other.solves;
-        self.decomp_calls += other.decomp_calls;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.cache_pos_hits += other.cache_pos_hits;
-        self.cache_neg_hits += other.cache_neg_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_inserts += other.cache_inserts;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_id_rewrites += other.cache_id_rewrites;
-        self.cache_bytes_peak = self.cache_bytes_peak.max(other.cache_bytes_peak);
-        self.detk_handoffs += other.detk_handoffs;
-        self.detk_memo_hits += other.detk_memo_hits;
-        self.detk_memo_misses += other.detk_memo_misses;
-        self.detk_cache_peak = self.detk_cache_peak.max(other.detk_cache_peak);
-        self.detk_cache_cap = self.detk_cache_cap.max(other.detk_cache_cap);
-        self.lambda_c_rejected += other.lambda_c_rejected;
-        self.lambda_p_rejected += other.lambda_p_rejected;
-        self.lambda_p_prefiltered += other.lambda_p_prefiltered;
-        self.separations += other.separations;
-        self.sched_steals += other.sched_steals;
-        self.sched_parks += other.sched_parks;
-        self.scratch_allocs += other.scratch_allocs;
-        self.scratch_grow_events += other.scratch_grow_events;
-        self.arena_branch_clones += other.arena_branch_clones;
-        self.child_splits += other.child_splits;
-        self.child_cancels += other.child_cancels;
-        self.arena_rebases += other.arena_rebases;
-    }
-
-    /// Total subproblem-cache hits (positive + negative).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_pos_hits + self.cache_neg_hits
-    }
-
-    /// Cache hit rate in `[0, 1]`; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits() + self.cache_misses;
-        if lookups == 0 {
-            return 0.0;
-        }
-        self.cache_hits() as f64 / lookups as f64
-    }
-
-    /// One-line human-readable rendering for sweep reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "decomp_calls={} max_depth={} cache: {}/{} hits ({:.1}%, {} pos + {} neg), \
-             {} inserted, {} evicted, {} id-rewrites, peak {} KiB; \
-             detk: {} handoffs, memo {}/{} hits, peak {}/{}; \
-             candidates rejected: {} λc + {} λp ({} λp pre-filtered, {} separations run); \
-             sched: {} steals, {} parks; \
-             children: {} splits, {} cancels, {} rebases; \
-             alloc: {} scratch bundles ({} regrowths), {} arena checkpoints",
-            self.decomp_calls,
-            self.max_depth,
-            self.cache_hits(),
-            self.cache_hits() + self.cache_misses,
-            100.0 * self.hit_rate(),
-            self.cache_pos_hits,
-            self.cache_neg_hits,
-            self.cache_inserts,
-            self.cache_evictions,
-            self.cache_id_rewrites,
-            self.cache_bytes_peak / 1024,
-            self.detk_handoffs,
-            self.detk_memo_hits,
-            self.detk_memo_hits + self.detk_memo_misses,
-            self.detk_cache_peak,
-            self.detk_cache_cap,
-            self.lambda_c_rejected,
-            self.lambda_p_rejected,
-            self.lambda_p_prefiltered,
-            self.separations,
-            self.sched_steals,
-            self.sched_parks,
-            self.child_splits,
-            self.child_cancels,
-            self.arena_rebases,
-            self.scratch_allocs,
-            self.scratch_grow_events,
-            self.arena_branch_clones,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,65 +60,5 @@ mod tests {
         assert!((s.avg - 2.0).abs() < 1e-12);
         assert!((s.max - 3.0).abs() < 1e-12);
         assert!((s.stdev - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counters_absorb_and_merge() {
-        let mut a = EngineCounters::default();
-        let mut s = SolveStats {
-            decomp_calls: 10,
-            max_depth: 3,
-            detk_handoffs: 2,
-            detk_cache_peak: 5,
-            detk_cache_cap: 100,
-            scratch_allocs: 4,
-            arena_branch_clones: 1,
-            lambda_c_rejected: 7,
-            lambda_p_rejected: 11,
-            lambda_p_prefiltered: 13,
-            separations: 17,
-            sched_steals: 19,
-            sched_parks: 23,
-            child_splits: 29,
-            child_cancels: 31,
-            arena_rebases: 37,
-            ..Default::default()
-        };
-        s.cache.pos_hits = 2;
-        s.cache.neg_hits = 4;
-        s.cache.misses = 2;
-        s.cache.inserts = 2;
-        s.cache.evictions = 1;
-        s.cache.id_rewrites = 3;
-        s.cache.bytes = 2048;
-        s.detk_memo.hits = 5;
-        s.detk_memo.misses = 5;
-        a.absorb(&s);
-        a.absorb(&s);
-        assert_eq!(a.solves, 2);
-        assert_eq!(a.decomp_calls, 20);
-        assert_eq!(a.max_depth, 3);
-        assert_eq!(a.cache_pos_hits, 4);
-        assert_eq!(a.cache_neg_hits, 8);
-        assert_eq!(a.cache_hits(), 12);
-        assert_eq!(a.cache_evictions, 2);
-        assert_eq!(a.cache_id_rewrites, 6);
-        assert_eq!(a.detk_memo_hits, 10);
-        assert_eq!(a.lambda_c_rejected, 14);
-        assert_eq!(a.lambda_p_rejected, 22);
-        assert_eq!(a.lambda_p_prefiltered, 26);
-        assert_eq!(a.separations, 34);
-        assert_eq!(a.sched_steals, 38);
-        assert_eq!(a.sched_parks, 46);
-        assert_eq!(a.child_splits, 58);
-        assert_eq!(a.child_cancels, 62);
-        assert_eq!(a.arena_rebases, 74);
-        assert!((a.hit_rate() - 0.75).abs() < 1e-12);
-
-        let mut b = EngineCounters::default();
-        b.merge(&a);
-        assert_eq!(b.decomp_calls, a.decomp_calls);
-        assert!(b.summary().contains("75.0%"));
-        assert!(b.summary().contains("evicted"));
     }
 }

@@ -3,11 +3,11 @@
 
 use std::time::Instant;
 
+use logk::SolveStats;
 use workloads::Instance;
 
 use crate::config::ReproConfig;
 use crate::run::{find_optimal_width, Method, RunResult, RunStatus};
-use crate::stats::EngineCounters;
 
 /// One (instance, method) outcome.
 pub struct SweepRow<'a> {
@@ -69,20 +69,21 @@ pub fn sweep<'a>(
             }
         }
     }
-    let engine_totals = aggregate_counters(&rows);
-    if engine_totals.solves > 0 {
-        eprintln!("  engine totals: {}", engine_totals.summary());
+    let (solves, totals) = aggregate_counters(&rows);
+    if solves > 0 {
+        eprintln!("  engine totals over {solves} solves: {totals:?}");
     }
     rows
 }
 
-/// Sums the engine counters of every `log-k-decomp` run in the sweep.
-pub fn aggregate_counters(rows: &[SweepRow<'_>]) -> EngineCounters {
-    let mut total = EngineCounters::default();
+/// Merges the engine counters of every `log-k-decomp` run in the sweep:
+/// the number of solves, and their merged counters.
+pub fn aggregate_counters(rows: &[SweepRow<'_>]) -> (u64, SolveStats) {
+    let mut total = SolveStats::default();
+    let mut solves = 0;
     for row in rows {
-        if let Some(c) = &row.result.counters {
-            total.merge(c);
-        }
+        total.merge(&row.result.counters);
+        solves += row.result.solves;
     }
-    total
+    (solves, total)
 }

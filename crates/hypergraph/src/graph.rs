@@ -221,10 +221,14 @@ impl Hypergraph {
 
     /// Builds a hypergraph from plain vertex-index edge lists.
     ///
-    /// Vertices are named `v0..`, edges `e0..`. Intended for generators and
-    /// tests. The vertex universe is `0..=max index` even if some indices in
-    /// between never occur (they are then isolated and ignored by all
-    /// algorithms, which operate on edges).
+    /// Vertex index `i` is named `v{i}`, edge `j` is named `e{j}`. Intended
+    /// for generators and tests. Vertices get ids in order of first
+    /// occurrence in the edge lists, and the indices in `0..=max` that
+    /// occur in no edge are appended after them as isolated vertices
+    /// (ignored by all algorithms, which operate on edges). So `Vertex(i)`
+    /// is `v{i}` only when the indices first occur in ascending order
+    /// without gaps; [`Self::vertex_by_name`]`("v{i}")` is the stable
+    /// lookup.
     pub fn from_edge_lists(edge_lists: &[Vec<u32>]) -> Self {
         let n = edge_lists
             .iter()
@@ -238,7 +242,8 @@ impl Hypergraph {
             let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
             b.add_edge(&format!("e{i}"), &name_refs);
         }
-        // Make sure all of 0..n exist so index-based tests are stable.
+        // Every index in 0..n becomes a vertex, the ones no edge named
+        // last: ids follow first occurrence, so look vertices up by name.
         for v in 0..n {
             b.intern_vertex(&format!("v{v}"));
         }
@@ -487,5 +492,15 @@ mod tests {
         let h = triangle();
         assert_eq!(h.vertex_by_name("v1"), Some(Vertex(1)));
         assert_eq!(h.edge_by_name("e2"), Some(Edge(2)));
+        // Past a gap, ids follow first occurrence: the isolated `v3` is
+        // interned last, so only its name finds it.
+        let h = Hypergraph::from_edge_lists(&[vec![0, 1], vec![1, 2], vec![0, 2], vec![4, 5]]);
+        assert_eq!(h.num_vertices(), 6);
+        assert_eq!(h.vertex_by_name("v4"), Some(Vertex(3)));
+        let v3 = h
+            .vertex_by_name("v3")
+            .expect("every index up to the max is a vertex");
+        assert_eq!(v3, Vertex(5));
+        assert!(h.incident_edges(v3).is_empty());
     }
 }

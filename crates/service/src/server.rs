@@ -737,7 +737,7 @@ fn execute_one(inner: &Arc<Inner>, q: Queued) {
     let c = &inner.counters;
     c.admitted.fetch_add(1, Ordering::Relaxed);
     let queue_wait = q.enqueued.elapsed();
-    add_duration(&c.queue_wait_ns, queue_wait);
+    add_duration(&c.queue_wait, queue_wait);
 
     // Pre-flight: the deadline may have expired (or shutdown fired)
     // while the request sat queued — don't start a doomed solve. With
@@ -770,7 +770,7 @@ fn execute_one(inner: &Arc<Inner>, q: Queued) {
         let started = Instant::now();
         let (outcome, retries) = solve_contained(inner, &lead);
         let solve_time = started.elapsed();
-        add_duration(&c.solve_ns, solve_time);
+        add_duration(&c.solve_time, solve_time);
         if registered {
             waiters.extend(inner.coalesce_finish(&key));
             registered = false;

@@ -9,57 +9,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Internal atomic counters; see [`ServiceStats`] for field semantics.
-#[derive(Debug, Default)]
-pub(crate) struct ServiceCounters {
-    pub submitted: AtomicU64,
-    pub shed_overload: AtomicU64,
-    pub shed_expired: AtomicU64,
-    pub rejected_closed: AtomicU64,
-    pub admitted: AtomicU64,
-    pub expired_in_queue: AtomicU64,
-    pub completed: AtomicU64,
-    pub timed_out: AtomicU64,
-    pub cancelled: AtomicU64,
-    pub panicked: AtomicU64,
-    pub failed: AtomicU64,
-    pub retried: AtomicU64,
-    pub coalesced: AtomicU64,
-    pub races: AtomicU64,
-    pub races_won_by: [AtomicU64; portfolio::EngineKind::COUNT],
-    pub race_cancels: AtomicU64,
-    pub speculative_wasted: AtomicU64,
-    pub queue_wait_ns: AtomicU64,
-    pub solve_ns: AtomicU64,
-}
-
-impl ServiceCounters {
-    pub(crate) fn snapshot(&self) -> ServiceStats {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServiceStats {
-            submitted: ld(&self.submitted),
-            shed_overload: ld(&self.shed_overload),
-            shed_expired: ld(&self.shed_expired),
-            rejected_closed: ld(&self.rejected_closed),
-            admitted: ld(&self.admitted),
-            expired_in_queue: ld(&self.expired_in_queue),
-            completed: ld(&self.completed),
-            timed_out: ld(&self.timed_out),
-            cancelled: ld(&self.cancelled),
-            panicked: ld(&self.panicked),
-            failed: ld(&self.failed),
-            retried: ld(&self.retried),
-            coalesced: ld(&self.coalesced),
-            races: ld(&self.races),
-            races_won_by: std::array::from_fn(|i| ld(&self.races_won_by[i])),
-            race_cancels: ld(&self.race_cancels),
-            speculative_wasted: ld(&self.speculative_wasted),
-            queue_wait: Duration::from_nanos(ld(&self.queue_wait_ns)),
-            solve_time: Duration::from_nanos(ld(&self.solve_ns)),
-        }
-    }
-}
-
 /// Bumps `counter` by `d` (saturating at `u64::MAX` nanoseconds — ~584
 /// years of aggregate time, i.e. never in practice).
 pub(crate) fn add_duration(counter: &AtomicU64, d: Duration) {
@@ -67,96 +16,101 @@ pub(crate) fn add_duration(counter: &AtomicU64, d: Duration) {
     counter.fetch_add(ns, Ordering::Relaxed);
 }
 
-/// Point-in-time snapshot of a server's request accounting.
-///
-/// The request-count invariants (once the server has drained):
-///
-/// * `submitted = shed_overload + shed_expired + rejected_closed +
-///   admitted`, and
-/// * `admitted = completed + timed_out + cancelled + failed`.
-///
-/// [`Self::panicked`] counts *panic events contained* (per attempt), not
-/// requests: a request that panics once and succeeds on retry moves
-/// `panicked`, `retried` *and* `completed`. [`Self::failed`] counts
-/// requests whose final outcome was a panic verdict.
-///
-/// Deadline expiry is split by *where* it was caught:
-/// [`Self::shed_expired`] counts requests shed **at submit** (they were
-/// never admitted), while [`Self::expired_in_queue`] counts admitted
-/// requests whose deadline passed **while queued** — those are shed at
-/// the executor's pre-flight checkpoint without starting a solve, and
-/// their terminal outcome is `TimedOut`, so `expired_in_queue ≤
-/// timed_out` always (the difference is requests that expired
-/// mid-solve).
-///
-/// Coalescing does not bend the invariants: a coalesced request is still
-/// an *admitted* request and still lands in exactly one terminal class
-/// (it shares the leader's verdict, so in practice `completed`) —
-/// [`Self::coalesced`] only records that its verdict was computed once
-/// rather than per-copy, hence `coalesced ≤ completed`.
-///
-/// Race accounting ([`Self::races`], [`Self::races_won_by`],
-/// [`Self::race_cancels`], [`Self::speculative_wasted`]) aggregates over
-/// both racing shapes the server runs: the multi-engine portfolio behind
-/// [`crate::Job::Race`], and the speculative width sweep behind
-/// [`crate::Job::MinimalWidth`] when the configured speculation admits
-/// it (the sweep contributes cancel/waste counts but no `races` /
-/// `races_won_by` entries — its racers are widths, not engines).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Requests offered to [`crate::Server::submit`].
-    pub submitted: u64,
-    /// Requests shed at admission because the queue was full.
-    pub shed_overload: u64,
-    /// Requests shed at admission because their deadline left less than
-    /// the configured headroom (or had already passed).
-    pub shed_expired: u64,
-    /// Requests rejected because the server was shutting down.
-    pub rejected_closed: u64,
-    /// Requests dequeued by an executor (admission succeeded).
-    pub admitted: u64,
-    /// Admitted requests whose deadline had already passed at dequeue;
-    /// shed at pre-flight (no solve started). A subset of
-    /// [`Self::timed_out`].
-    pub expired_in_queue: u64,
-    /// Requests that ran to a verdict ([`crate::Outcome::Decided`], or a
-    /// [`crate::Outcome::Width`] sweep that was not cut short).
-    pub completed: u64,
-    /// Requests whose final outcome was a deadline expiry.
-    pub timed_out: u64,
-    /// Requests whose final outcome was a cancellation (their own
-    /// control's, or the server-wide cancel on shutdown).
-    pub cancelled: u64,
-    /// Panic events contained by an executor (per attempt; see type docs).
-    pub panicked: u64,
-    /// Requests whose final outcome was [`crate::Outcome::Panicked`].
-    pub failed: u64,
-    /// Re-executions after a contained panic.
-    pub retried: u64,
-    /// Admitted requests answered from another in-flight request's
-    /// verdict (same instance content, same job) instead of their own
-    /// solve. See the type docs; always `≤ completed`.
-    pub coalesced: u64,
-    /// Portfolio races run ([`crate::Job::Race`] solves that reached the
-    /// racing coordinator; pre-flight sheds don't count).
-    pub races: u64,
-    /// Race wins per engine, indexed by
-    /// [`portfolio::EngineKind::index`]. Sums to the number of races
-    /// that produced a definitive verdict (`≤ races`).
-    pub races_won_by: [u64; portfolio::EngineKind::COUNT],
-    /// Racers (portfolio engines or speculative sweep probes) cancelled
-    /// because a concurrent verdict made them redundant.
-    pub race_cancels: u64,
-    /// Racers that ran to completion only to find their verdict
-    /// redundant — the true overhead of speculation (cancelled racers
-    /// stop early; wasted ones burned their full slice).
-    pub speculative_wasted: u64,
-    /// Aggregate time requests spent queued between admission and
-    /// execution start.
-    pub queue_wait: Duration,
-    /// Aggregate wall-clock time executors spent solving (including
-    /// retries).
-    pub solve_time: Duration,
+decomp::counters! {
+    /// Point-in-time snapshot of a server's request accounting.
+    ///
+    /// The request-count invariants (once the server has drained):
+    ///
+    /// * `submitted = shed_overload + shed_expired + rejected_closed +
+    ///   admitted`, and
+    /// * `admitted = completed + timed_out + cancelled + failed`.
+    ///
+    /// [`Self::panicked`] counts *panic events contained* (per attempt), not
+    /// requests: a request that panics once and succeeds on retry moves
+    /// `panicked`, `retried` *and* `completed`. [`Self::failed`] counts
+    /// requests whose final outcome was a panic verdict.
+    ///
+    /// Deadline expiry is split by *where* it was caught:
+    /// [`Self::shed_expired`] counts requests shed **at submit** (they were
+    /// never admitted), while [`Self::expired_in_queue`] counts admitted
+    /// requests whose deadline passed **while queued** — those are shed at
+    /// the executor's pre-flight checkpoint without starting a solve, and
+    /// their terminal outcome is `TimedOut`, so `expired_in_queue ≤
+    /// timed_out` always (the difference is requests that expired
+    /// mid-solve).
+    ///
+    /// Coalescing does not bend the invariants: a coalesced request is still
+    /// an *admitted* request and still lands in exactly one terminal class
+    /// (it shares the leader's verdict, so in practice `completed`) —
+    /// [`Self::coalesced`] only records that its verdict was computed once
+    /// rather than per-copy, hence `coalesced ≤ completed`.
+    ///
+    /// Race accounting ([`Self::races`], [`Self::races_won_by`],
+    /// [`Self::race_cancels`], [`Self::speculative_wasted`]) aggregates over
+    /// both racing shapes the server runs: the multi-engine portfolio behind
+    /// [`crate::Job::Race`], and the speculative width sweep behind
+    /// [`crate::Job::MinimalWidth`] when the configured speculation admits
+    /// it (the sweep contributes cancel/waste counts but no `races` /
+    /// `races_won_by` entries — its racers are widths, not engines).
+    pub struct ServiceStats {}
+
+    /// The live counters a server bumps lock-free from the submit path
+    /// and the executor threads (durations as nanoseconds).
+    pub(crate) atomic ServiceCounters {
+        /// Requests offered to [`crate::Server::submit`].
+        submitted: u64 = sum,
+        /// Requests shed at admission because the queue was full.
+        shed_overload: u64 = sum,
+        /// Requests shed at admission because their deadline left less than
+        /// the configured headroom (or had already passed).
+        shed_expired: u64 = sum,
+        /// Requests rejected because the server was shutting down.
+        rejected_closed: u64 = sum,
+        /// Requests dequeued by an executor (admission succeeded).
+        admitted: u64 = sum,
+        /// Admitted requests whose deadline had already passed at dequeue;
+        /// shed at pre-flight (no solve started). A subset of
+        /// [`Self::timed_out`].
+        expired_in_queue: u64 = sum,
+        /// Requests that ran to a verdict ([`crate::Outcome::Decided`], or a
+        /// [`crate::Outcome::Width`] sweep that was not cut short).
+        completed: u64 = sum,
+        /// Requests whose final outcome was a deadline expiry.
+        timed_out: u64 = sum,
+        /// Requests whose final outcome was a cancellation (their own
+        /// control's, or the server-wide cancel on shutdown).
+        cancelled: u64 = sum,
+        /// Panic events contained by an executor (per attempt; see type docs).
+        panicked: u64 = sum,
+        /// Requests whose final outcome was [`crate::Outcome::Panicked`].
+        failed: u64 = sum,
+        /// Re-executions after a contained panic.
+        retried: u64 = sum,
+        /// Admitted requests answered from another in-flight request's
+        /// verdict (same instance content, same job) instead of their own
+        /// solve. See the type docs; always `≤ completed`.
+        coalesced: u64 = sum,
+        /// Portfolio races run ([`crate::Job::Race`] solves that reached the
+        /// racing coordinator; pre-flight sheds don't count).
+        races: u64 = sum,
+        /// Race wins per engine, indexed by
+        /// [`portfolio::EngineKind::index`]. Sums to the number of races
+        /// that produced a definitive verdict (`≤ races`).
+        races_won_by: [u64; portfolio::EngineKind::COUNT] = sum,
+        /// Racers (portfolio engines or speculative sweep probes) cancelled
+        /// because a concurrent verdict made them redundant.
+        race_cancels: u64 = sum,
+        /// Racers that ran to completion only to find their verdict
+        /// redundant — the true overhead of speculation (cancelled racers
+        /// stop early; wasted ones burned their full slice).
+        speculative_wasted: u64 = sum,
+        /// Aggregate time requests spent queued between admission and
+        /// execution start.
+        queue_wait: Duration = sum,
+        /// Aggregate wall-clock time executors spent solving (including
+        /// retries).
+        solve_time: Duration = sum,
+    }
 }
 
 impl std::fmt::Display for ServiceStats {

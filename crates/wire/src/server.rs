@@ -86,27 +86,31 @@ impl Default for WireConfig {
     }
 }
 
-/// Wire-level counters (the service keeps its own [`ServiceStats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Connections accepted and handed to a handler.
-    pub connections_accepted: u64,
-    /// Connections refused at the live-connection cap.
-    pub connections_refused: u64,
-    /// Connections torn down by a fatal framing error.
-    pub connections_torn: u64,
-    /// Connections reaped for idleness.
-    pub idle_reaped: u64,
-    /// Recoverable malformed frames rejected (connection survived).
-    pub frames_rejected: u64,
-    /// Requests answered with a [`Message::Reply`].
-    pub replies_sent: u64,
-    /// Replies carrying a portfolio-race verdict ([`WireOutcome::Raced`]);
-    /// a subset of `replies_sent`. Per-engine win counts live in the
-    /// service's [`ServiceStats::races_won_by`].
-    pub race_replies_sent: u64,
-    /// Requests answered with a [`Message::Reject`].
-    pub rejects_sent: u64,
+decomp::counters! {
+    /// Wire-level counters (the service keeps its own [`ServiceStats`]).
+    pub struct WireStats {}
+
+    /// The live counters the acceptor and the handlers bump.
+    atomic Counters {
+        /// Connections accepted and handed to a handler.
+        connections_accepted: u64 = sum,
+        /// Connections refused at the live-connection cap.
+        connections_refused: u64 = sum,
+        /// Connections torn down by a fatal framing error.
+        connections_torn: u64 = sum,
+        /// Connections reaped for idleness.
+        idle_reaped: u64 = sum,
+        /// Recoverable malformed frames rejected (connection survived).
+        frames_rejected: u64 = sum,
+        /// Requests answered with a [`Message::Reply`].
+        replies_sent: u64 = sum,
+        /// Replies carrying a portfolio-race verdict ([`WireOutcome::Raced`]);
+        /// a subset of `replies_sent`. Per-engine win counts live in the
+        /// service's [`ServiceStats::races_won_by`].
+        race_replies_sent: u64 = sum,
+        /// Requests answered with a [`Message::Reject`].
+        rejects_sent: u64 = sum,
+    }
 }
 
 /// Final accounting returned by [`WireServer::shutdown`] / [`drain`](WireServer::drain).
@@ -116,33 +120,6 @@ pub struct WireReport {
     pub service: ServiceStats,
     /// The frontend's counters.
     pub wire: WireStats,
-}
-
-#[derive(Default)]
-struct Counters {
-    connections_accepted: AtomicU64,
-    connections_refused: AtomicU64,
-    connections_torn: AtomicU64,
-    idle_reaped: AtomicU64,
-    frames_rejected: AtomicU64,
-    replies_sent: AtomicU64,
-    race_replies_sent: AtomicU64,
-    rejects_sent: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> WireStats {
-        WireStats {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_refused: self.connections_refused.load(Ordering::Relaxed),
-            connections_torn: self.connections_torn.load(Ordering::Relaxed),
-            idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
-            frames_rejected: self.frames_rejected.load(Ordering::Relaxed),
-            replies_sent: self.replies_sent.load(Ordering::Relaxed),
-            race_replies_sent: self.race_replies_sent.load(Ordering::Relaxed),
-            rejects_sent: self.rejects_sent.load(Ordering::Relaxed),
-        }
-    }
 }
 
 struct Shared {
