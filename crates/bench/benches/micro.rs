@@ -434,40 +434,26 @@ fn bench_detk(c: &mut Criterion) {
     g.finish();
 }
 
-/// The racing layer (PR 10): the speculative k-sweep against the
-/// sequential sweep it shadows, plus the full algorithm portfolio, on
-/// three corpus families with deliberately different per-width cost
-/// profiles.
+/// The racing layer: the anytime width sweep and the algorithm
+/// portfolio, on three corpus families with deliberately different
+/// per-width cost profiles.
 ///
-/// * `grid6x6_b700` — the slice-burn family and the headline win. With a
-///   700 ms per-width budget, k = 3 is undecidable inside its slice
-///   (refuting it takes ~1.6 s alone) while k = 4 witnesses in ~300 ms.
-///   The sequential sweep pays the burn and the witness **serially**
-///   (~1.0 s); the speculative sweep overlaps the k = 4 witness search
-///   with k = 3's slice burn and finishes when the slice expires
-///   (~0.7 s) — same certified bounds `[3, 4]`, same recorded timeout.
-///   A per-width wall-clock deadline burns wall time, not CPU, so the
-///   overlap is a genuine win even pinned to one core.
+/// * `grid6x6_b700` — the slice-burn family. With a 700 ms per-width
+///   budget, k = 3 is undecidable inside its slice (refuting it takes
+///   ~1.6 s alone) while k = 4 witnesses in ~300 ms, so the sweep pays
+///   the burn and then the witness (~1.0 s), with certified bounds
+///   `[3, 4]` and a recorded timeout.
 /// * `band_cycle120` — the all-fast contrast (hw = 2, every width
-///   millisecond-scale): speculation has nothing to overlap, so this
-///   pins the coordination tax of the racing path (probe threads +
-///   channel) at its worst, and its spec-2 sweep is where the
-///   witness-cancels-speculative-probe path fires (the k = 3 probe
-///   launched ahead of the k = 2 witness gets cancelled when the
-///   witness lands — `race_cancels` in the stderr report).
+///   millisecond-scale).
 /// * `chorded48` — a pure refutation ladder (every width up to `k_max`
-///   refuted): no probe is ever redundant, so speculative and
-///   sequential do identical total work and the sweep must stay at
-///   parity.
+///   refuted).
 ///
-/// The `*_sweep_seq` arms call the racing entry point with
-/// `speculation = 1`: the grain gate routes that to the sequential
-/// `width_bounds_with` loop itself, so seq-vs-spec2 here *is* the
-/// 1-worker-parity / 2-worker-win acceptance comparison. The
-/// `*_portfolio_k*` arms race the full 1-thread registry (logk-seq,
-/// det-k, ghd, htd-sat) at a fixed width. Each configuration also runs
-/// once outside the timing loop to report verdicts, winners and
-/// race counters to stderr.
+/// The `*_sweep_seq` arms time `width_bounds_with`, the sweep a
+/// `MinimalWidth` request runs. The `*_portfolio_k*` arms race the
+/// portfolio's field (`logk-seq` against `detk`) at a fixed width.
+/// When the filter selects the group, each configuration also runs once
+/// outside the timing loop to report verdicts, winners and race
+/// counters to stderr.
 fn bench_race(c: &mut Criterion) {
     use std::sync::Arc;
     use std::time::Duration;
@@ -484,51 +470,39 @@ fn bench_race(c: &mut Criterion) {
         ("band_cycle120", families::band_cycle(120, 4, 2), 4, None, 2),
         ("chorded48", families::chorded_cycle(48, 16, 3), 3, None, 3),
     ];
+    let port = portfolio::Portfolio::default();
     for (name, hg, k_max, budget, port_k) in &fams {
-        for (mode, spec) in [("sweep_seq", 1usize), ("sweep_spec2", 2)] {
+        let sweep = || {
             let ctrl = Arc::new(Control::unlimited());
-            let b =
-                logk::width_bounds_racing(hg, *k_max, &ctrl, *budget, spec, |_| LogK::sequential());
+            logk::width_bounds_with(hg, *k_max, &ctrl, *budget, |_| LogK::sequential())
+        };
+        if g.selected() {
+            let b = sweep();
             eprintln!(
-                "micro/race {name}_{mode}: bounds=[{}, {:?}] witness={} \
-                 probes={} race_cancels={} speculative_wasted={}",
+                "micro/race {name}_sweep_seq: bounds=[{}, {:?}] witness={}",
                 b.proven_lower,
                 b.best_upper,
                 b.witness.is_some(),
-                b.race.probes,
-                b.race.race_cancels,
-                b.race.speculative_wasted,
             );
-            g.bench_function(format!("{name}_{mode}"), |bch| {
-                bch.iter(|| {
-                    let ctrl = Arc::new(Control::unlimited());
-                    black_box(logk::width_bounds_racing(
-                        black_box(hg),
-                        *k_max,
-                        &ctrl,
-                        *budget,
-                        spec,
-                        |_| LogK::sequential(),
-                    ))
-                })
-            });
+            let ctrl = Arc::new(Control::unlimited());
+            let out = port.race(hg, *port_k, &ctrl);
+            eprintln!(
+                "micro/race {name}_portfolio_k{port_k}: verdict={} winner={} \
+                 probes={} race_cancels={} speculative_wasted={}",
+                match &out.verdict {
+                    Ok(Some(_)) => "witness",
+                    Ok(None) => "refuted",
+                    Err(_) => "interrupted",
+                },
+                out.winner.map_or("none", |w| w.name()),
+                out.stats.probes,
+                out.stats.race_cancels,
+                out.stats.speculative_wasted,
+            );
         }
-        let port = portfolio::Portfolio::full(1);
-        let ctrl = Arc::new(Control::unlimited());
-        let out = port.race(hg, *port_k, &ctrl);
-        eprintln!(
-            "micro/race {name}_portfolio_k{port_k}: verdict={} winner={} \
-             probes={} race_cancels={} speculative_wasted={}",
-            match &out.verdict {
-                Ok(Some(_)) => "witness",
-                Ok(None) => "refuted",
-                Err(_) => "interrupted",
-            },
-            out.winner.map_or("none", |w| w.name()),
-            out.stats.probes,
-            out.stats.race_cancels,
-            out.stats.speculative_wasted,
-        );
+        g.bench_function(format!("{name}_sweep_seq"), |bch| {
+            bch.iter(|| black_box(sweep()))
+        });
         g.bench_function(format!("{name}_portfolio_k{port_k}"), |bch| {
             bch.iter(|| {
                 let ctrl = Arc::new(Control::unlimited());

@@ -355,8 +355,6 @@ decomp::counters! {
         /// Times a pool worker parked for lack of work during the solve —
         /// idle capacity the λc race did not fill.
         sched_parks: u64 = sum,
-        /// Configured `det-k-decomp` memo cap (diagnostics).
-        detk_cache_cap: usize = max,
         /// Counters of the `det-k-decomp` memo table shared across handoffs.
         detk_memo: MemoSnapshot = merge,
         /// Unified subproblem-cache counters (positive + negative verdicts,

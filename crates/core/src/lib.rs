@@ -16,7 +16,6 @@
 pub mod basic;
 pub mod cache;
 pub mod engine;
-pub mod race;
 pub mod settle;
 pub mod solver;
 
@@ -32,6 +31,5 @@ pub use engine::{
     DEFAULT_CACHE_BYTES, DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE,
     DEFAULT_DETK_CACHE_CAP, LP_INCREMENTAL_AUTO_WORDS,
 };
-pub use race::{width_bounds_racing, RaceStats};
 pub use settle::{settle, Settled, SettledBy};
 pub use solver::{shared_pool, width_bounds_with, LogK, SharedTables, Variant, WidthBounds};

@@ -425,7 +425,6 @@ impl LogK {
             if let Some(settled) = crate::settle::settle(hg, k) {
                 let stats = SolveStats {
                     settled_by: settled.by(),
-                    detk_cache_cap: self.detk_cache_cap,
                     ..SolveStats::default()
                 };
                 return Ok((settled.into_witness(), stats));
@@ -470,7 +469,6 @@ impl LogK {
                     // Scheduler activity is attributed by the caller
                     // (per-pool totals or ambient-pool delta).
                     let stats = SolveStats {
-                        detk_cache_cap: self.detk_cache_cap,
                         detk_memo: engine.detk_memo_snapshot(),
                         cache: engine.cache_snapshot(),
                         ..engine.stats().snapshot()
@@ -558,23 +556,6 @@ impl LogK {
     ) -> WidthBounds {
         width_bounds_with(hg, k_max, ctrl, per_k_budget, |_| self.clone())
     }
-
-    /// Speculative racing variant of [`Self::width_bounds`]: up to
-    /// `speculation` widths probed concurrently with verdict-driven
-    /// cancellation (see [`crate::race::width_bounds_racing`]).
-    /// `speculation <= 1` is the sequential fast path.
-    pub fn width_bounds_racing(
-        &self,
-        hg: &Hypergraph,
-        k_max: usize,
-        ctrl: &Arc<Control>,
-        per_k_budget: Option<Duration>,
-        speculation: usize,
-    ) -> WidthBounds {
-        crate::race::width_bounds_racing(hg, k_max, ctrl, per_k_budget, speculation, |_| {
-            self.clone()
-        })
-    }
 }
 
 impl Default for LogK {
@@ -604,10 +585,6 @@ pub struct WidthBounds {
     /// observed (a per-`k` sub-deadline or the overall control firing).
     /// `None` for a completed sweep.
     pub interrupted: Option<Interrupted>,
-    /// Speculation counters when the bounds came from a racing sweep
-    /// ([`crate::race::width_bounds_racing`]); all-zero for the
-    /// sequential sweep and the racing sweep's sequential fast path.
-    pub race: crate::race::RaceStats,
 }
 
 impl WidthBounds {
@@ -651,7 +628,6 @@ pub fn width_bounds_with(
         best_upper: None,
         witness: None,
         interrupted: None,
-        race: crate::race::RaceStats::default(),
     };
     for k in 1..=k_max {
         if let Err(e) = ctrl.checkpoint() {

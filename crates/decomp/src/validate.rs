@@ -99,9 +99,10 @@ pub fn validate_hd_width(hg: &Hypergraph, d: &Decomposition, k: usize) -> Result
 }
 
 fn check_cover(hg: &Hypergraph, d: &Decomposition) -> Result<(), Violation> {
+    let order = d.preorder();
     'edges: for e in hg.edge_ids() {
         let set = hg.edge(e);
-        for u in d.preorder() {
+        for &u in &order {
             if set.is_subset_of(&d.node(u).chi) {
                 continue 'edges;
             }

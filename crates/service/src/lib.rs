@@ -21,13 +21,13 @@
 //!   would be unsound).
 //! * **Anytime answers** — [`Job::MinimalWidth`] returns
 //!   [`logk::WidthBounds`]: whatever the sweep proved before the
-//!   deadline, not nothing. With [`ServerConfig::speculation`] `> 1`
-//!   the sweep races adjacent widths concurrently
-//!   ([`logk::width_bounds_racing`]) and cancels probes a neighbour's
-//!   verdict makes redundant.
+//!   deadline, not nothing. The sweep ([`logk::width_bounds_with`])
+//!   tries `k = 1, 2, …` in order, each width under its own child
+//!   control, so a width that times out in its slice
+//!   ([`ServerConfig::width_slice`]) is skipped rather than refuted.
 //! * **Portfolio racing** — [`Job::Race`] answers `hw(H) ≤ k` by
-//!   racing every engine in the workspace ([`portfolio::Portfolio`]);
-//!   the first definitive verdict cancels the losers, and
+//!   racing `logk-seq` against `detk` ([`portfolio::Portfolio`]); the
+//!   first definitive verdict cancels the loser, and
 //!   [`ServiceStats::races_won_by`] records which engine carries which
 //!   workload.
 //! * **In-flight coalescing** — admitted requests asking the exact

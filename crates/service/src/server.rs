@@ -46,9 +46,8 @@ use std::time::{Duration, Instant};
 
 use decomp::{Control, Decomposition, Interrupted};
 use hypergraph::Hypergraph;
-use logk::{LogK, SharedTables, Variant, WidthBounds, DEFAULT_CACHE_BYTES, DEFAULT_DETK_CACHE_CAP};
+use logk::{LogK, SharedTables, WidthBounds, DEFAULT_CACHE_BYTES, DEFAULT_DETK_CACHE_CAP};
 use portfolio::{EngineKind, Portfolio};
-use rayon::ThreadPool;
 
 use crate::queue::{DeadlineQueue, PushError};
 use crate::stats::{add_duration, ServiceCounters, ServiceStats};
@@ -60,10 +59,14 @@ pub struct ServerConfig {
     /// Executor threads dequeuing and running requests (≥ 1 enforced).
     /// Each runs one request at a time, so this bounds solve concurrency.
     pub executors: usize,
-    /// Worker threads of the shared work-stealing pool. `> 0` runs every
-    /// solve as [`Variant::Parallel`] on one process-wide pool shared by
-    /// all executors; `0` runs [`Self::solver`] as configured, on the
-    /// executor thread.
+    /// Worker threads of the work-stealing pool that `Decide` and
+    /// `MinimalWidth` solves run on. `0` solves with
+    /// [`LogK::sequential`] on the executor thread. `> 0` solves with
+    /// [`LogK::parallel`]`(workers)` on the process-wide pool of that
+    /// size ([`logk::shared_pool`]), shared by all executors: the top
+    /// recursion depths race their λc leads and split sibling components
+    /// across its workers. `Race` jobs ignore it; their two racers run
+    /// on threads of their own.
     pub workers: usize,
     /// Bounded queue capacity (≥ 1 enforced); a full queue sheds with
     /// [`Rejected::Overloaded`] instead of buffering unboundedly.
@@ -88,16 +91,6 @@ pub struct ServerConfig {
     /// [`logk::width_bounds_with`]); `None` lets each width run to the
     /// request deadline.
     pub width_slice: Option<Duration>,
-    /// Concurrent width probes a minimal-width sweep may keep in flight
-    /// ([`logk::width_bounds_racing`]). `≤ 1` keeps the sequential
-    /// sweep. When the server runs a shared pool (`workers > 0`) the
-    /// effective value is capped at `workers` — parallel probe solves
-    /// beyond that would serialise on the pool and only burn slices.
-    pub speculation: usize,
-    /// Solver template; each request's engine is built from a clone with
-    /// the hub's shared tables (and the shared pool, when `workers > 0`)
-    /// attached.
-    pub solver: LogK,
 }
 
 impl Default for ServerConfig {
@@ -113,8 +106,6 @@ impl Default for ServerConfig {
             detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             max_instances: 4,
             width_slice: None,
-            speculation: 2,
-            solver: LogK::sequential(),
         }
     }
 }
@@ -136,9 +127,10 @@ pub enum Job {
         /// Largest width the sweep tries.
         k_max: usize,
     },
-    /// Decide `hw(H) ≤ k` by racing the full algorithm portfolio
-    /// ([`portfolio::Portfolio`]): every engine attacks the same
-    /// question, the first definitive verdict cancels the rest.
+    /// Decide `hw(H) ≤ k` by racing the algorithm portfolio
+    /// ([`portfolio::Portfolio`], `logk-seq` against `detk`): both
+    /// engines attack the same question, and the first definitive
+    /// verdict cancels the other.
     Race {
         /// Width bound to race.
         k: usize,
@@ -389,9 +381,6 @@ struct Inner {
     root: Arc<Control>,
     counters: ServiceCounters,
     hub: TableHub,
-    /// Shared work-stealing pool (when `workers > 0`); all executors'
-    /// parallel solves run on it concurrently.
-    pool: Option<Arc<ThreadPool>>,
     /// In-flight coalescing registry: `(fingerprint, job)` → the leader
     /// currently solving it plus the requests parked on its verdict.
     /// Entries live exactly as long as their leader is inside
@@ -403,10 +392,10 @@ struct Inner {
 
 /// Long-running decomposition service.
 ///
-/// Owns the executor threads, the shared worker pool and the shared
-/// memo-table hub. See the [module docs](self) for the request
-/// lifecycle; see `crates/harness`'s `serve` binary for a demo driver
-/// and the `htdwire` crate for the TCP frontend.
+/// Owns the executor threads and the shared memo-table hub. See the
+/// [module docs](self) for the request lifecycle; see
+/// `crates/harness`'s `serve` binary for a demo driver and the
+/// `htdwire` crate for the TCP frontend.
 pub struct Server {
     inner: Arc<Inner>,
     /// Deadline-ordered admission queue; closed on stop.
@@ -418,17 +407,14 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the executor threads (and the shared pool, if configured)
-    /// and begins accepting requests.
+    /// Starts the executor threads and begins accepting requests.
     pub fn start(cfg: ServerConfig) -> Server {
-        let pool = (cfg.workers > 0).then(|| logk::shared_pool(cfg.workers));
         let queue = Arc::new(DeadlineQueue::new(cfg.queue_depth));
         let executors = cfg.executors.max(1);
         let inner = Arc::new(Inner {
             root: Arc::new(Control::unlimited()),
             counters: ServiceCounters::default(),
             hub: TableHub::new(cfg.cache_bytes, cfg.detk_cache_cap, cfg.max_instances),
-            pool,
             inflight: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
@@ -584,36 +570,13 @@ impl Drop for Server {
 }
 
 impl Inner {
-    /// Builds the solver for one checkout: the configured template with
-    /// the request's shared tables — and the shared pool, when the
-    /// server runs one — attached.
-    fn solver_for(&self, tables: SharedTables) -> LogK {
-        let mut solver = self.cfg.solver.clone().with_shared_tables(tables);
-        if let Some(pool) = &self.pool {
-            solver.variant = Variant::Parallel;
-            solver = solver.with_pool(Arc::clone(pool));
-        }
-        solver
-    }
-
-    /// Width probes a minimal-width sweep keeps in flight: the
-    /// configured speculation, capped at the pool's worker count when
-    /// one is running (beyond that, parallel probe solves serialise on
-    /// the pool and speculation only burns deadline slices).
-    fn effective_speculation(&self) -> usize {
-        match self.cfg.workers {
-            0 => self.cfg.speculation,
-            w => self.cfg.speculation.min(w),
-        }
-    }
-
     /// Runs one request to a verdict (the panic-unsafe part wrapped by
     /// `execute_one`'s `catch_unwind`).
     fn solve(&self, q: &Queued) -> Outcome {
         match q.job {
             Job::Decide { k } => {
                 let (hg, tables) = self.hub.checkout(&q.hg, k);
-                match self.solver_for(tables).decompose(&hg, k, &q.ctrl) {
+                match solver(self.cfg.workers, tables).decompose(&hg, k, &q.ctrl) {
                     Ok(witness) => Outcome::Decided { k, witness },
                     Err(Interrupted::Timeout) => Outcome::TimedOut,
                     Err(Interrupted::Cancelled) => Outcome::Cancelled,
@@ -623,28 +586,16 @@ impl Inner {
                 // Canonicalise once so the sweep solves the instance the
                 // per-width table pairs are bound to.
                 let (hg, _) = self.hub.checkout(&q.hg, 1);
-                let bounds = logk::width_bounds_racing(
-                    &hg,
-                    k_max,
-                    &q.ctrl,
-                    self.cfg.width_slice,
-                    self.effective_speculation(),
-                    |k| {
+                let bounds =
+                    logk::width_bounds_with(&hg, k_max, &q.ctrl, self.cfg.width_slice, |k| {
                         let (_, tables) = self.hub.checkout(&q.hg, k);
-                        self.solver_for(tables)
-                    },
-                );
-                let c = &self.counters;
-                c.race_cancels
-                    .fetch_add(bounds.race.race_cancels, Ordering::Relaxed);
-                c.speculative_wasted
-                    .fetch_add(bounds.race.speculative_wasted, Ordering::Relaxed);
+                        solver(self.cfg.workers, tables)
+                    });
                 Outcome::Width(bounds)
             }
             Job::Race { k } => {
                 let (hg, tables) = self.hub.checkout(&q.hg, k);
-                let threads = self.cfg.workers.max(1);
-                let registry = Portfolio::full(threads).with_shared_tables(tables);
+                let registry = Portfolio::default().with_shared_tables(tables);
                 let c = &self.counters;
                 c.races.fetch_add(1, Ordering::Relaxed);
                 let out = registry.race(&hg, k, &q.ctrl);
@@ -698,6 +649,16 @@ impl Inner {
         let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
         map.remove(key).map(|e| e.waiters).unwrap_or_default()
     }
+}
+
+/// The solver of a `Decide` or `MinimalWidth` checkout: see
+/// [`ServerConfig::workers`].
+fn solver(workers: usize, tables: SharedTables) -> LogK {
+    match workers {
+        0 => LogK::sequential(),
+        w => LogK::parallel(w),
+    }
+    .with_shared_tables(tables)
 }
 
 /// Executor main loop: dequeue most-urgent-first, execute, repeat until

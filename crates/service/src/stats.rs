@@ -46,12 +46,9 @@ decomp::counters! {
     /// rather than per-copy, hence `coalesced ≤ completed`.
     ///
     /// Race accounting ([`Self::races`], [`Self::races_won_by`],
-    /// [`Self::race_cancels`], [`Self::speculative_wasted`]) aggregates over
-    /// both racing shapes the server runs: the multi-engine portfolio behind
-    /// [`crate::Job::Race`], and the speculative width sweep behind
-    /// [`crate::Job::MinimalWidth`] when the configured speculation admits
-    /// it (the sweep contributes cancel/waste counts but no `races` /
-    /// `races_won_by` entries — its racers are widths, not engines).
+    /// [`Self::race_cancels`], [`Self::speculative_wasted`]) counts the
+    /// portfolio races behind [`crate::Job::Race`] only; no other job
+    /// races.
     pub struct ServiceStats {}
 
     /// The live counters a server bumps lock-free from the submit path
@@ -97,12 +94,12 @@ decomp::counters! {
         /// [`portfolio::EngineKind::index`]. Sums to the number of races
         /// that produced a definitive verdict (`≤ races`).
         races_won_by: [u64; portfolio::EngineKind::COUNT] = sum,
-        /// Racers (portfolio engines or speculative sweep probes) cancelled
-        /// because a concurrent verdict made them redundant.
+        /// Portfolio racers cancelled because the other racer's verdict
+        /// made them redundant.
         race_cancels: u64 = sum,
-        /// Racers that ran to completion only to find their verdict
-        /// redundant — the true overhead of speculation (cancelled racers
-        /// stop early; wasted ones burned their full slice).
+        /// Portfolio racers that ran to completion only to find their
+        /// verdict redundant — the true overhead of speculation (cancelled
+        /// racers stop early; wasted ones ran to their verdict).
         speculative_wasted: u64 = sum,
         /// Aggregate time requests spent queued between admission and
         /// execution start.

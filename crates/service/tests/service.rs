@@ -438,8 +438,9 @@ fn parallel_pool_round_trip() {
     assert_eq!(stats.completed, 4);
 }
 
-/// `Job::Race` runs the full portfolio and reports the winning engine;
-/// both polarities come back definitive on an unpressured instance.
+/// `Job::Race` races the portfolio's field and reports the winning
+/// engine; both polarities come back definitive on an unpressured
+/// instance.
 #[test]
 fn race_round_trip() {
     let server = Server::start(ServerConfig::default());
@@ -454,9 +455,15 @@ fn race_round_trip() {
             winner,
             witness: Some(_),
         } => {
-            // Winner is whichever engine got there first; it must be a
-            // registered one.
-            assert!(portfolio::EngineKind::ALL.contains(&winner));
+            // Winner is whichever racer got there first: one of the
+            // field's two engines.
+            assert!(
+                matches!(
+                    winner,
+                    portfolio::EngineKind::LogkSeq | portfolio::EngineKind::Detk
+                ),
+                "{winner}"
+            );
         }
         other => panic!("expected raced k=2 witness, got {other:?}"),
     }

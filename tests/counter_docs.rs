@@ -57,7 +57,7 @@ const SETS: &[(&str, &[(&str, &str)])] = &[
     ("SolveStats", logk::SolveStats::FIELDS),
     ("CacheSnapshot", logk::CacheSnapshot::FIELDS),
     ("MemoSnapshot", detk::MemoSnapshot::FIELDS),
-    ("RaceStats", logk::RaceStats::FIELDS),
+    ("RaceStats", portfolio::RaceStats::FIELDS),
     ("ServiceStats", htdserve::ServiceStats::FIELDS),
     ("WireStats", htdwire::WireStats::FIELDS),
 ];
