@@ -18,7 +18,7 @@ use hypergraph::{
     separate, separate_into, Edge, Hypergraph, Scratch, Separation, SpecialArena, Subproblem,
     Vertex, VertexSet,
 };
-use logk::{LogK, LpMode};
+use logk::LogK;
 use std::hint::black_box;
 use workloads::{families, hyperbench_like, CorpusConfig};
 
@@ -217,39 +217,20 @@ fn bench_lp_prune(c: &mut Criterion) {
     let grid = families::grid(4, 4);
     let filtered = LogK::sequential();
     let unfiltered = LogK::sequential().with_lambda_p_prefilter(false);
-    // The phase-2 incremental mode (touch masks maintained across the λp
-    // subset walk instead of re-walked per candidate pair) measured
-    // against the per-pair default. Counter-identical rejections
-    // (tests/lp_prefilter_differential.rs); on this word-sized instance
-    // the sparse per-pair walk wins — `bad` is small, so walking its set
-    // bits is cheaper than the walk's full-width stack copies — which is
-    // why per-pair stays the default (see BENCHMARKS.md).
-    let incremental = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     g.bench_function("grid4x4_k3_prefiltered", |bch| {
         bch.iter(|| black_box(search(&filtered, black_box(&grid), 3)))
-    });
-    g.bench_function("grid4x4_k3_inc_prefiltered", |bch| {
-        bch.iter(|| black_box(search(&incremental, black_box(&grid), 3)))
     });
     g.bench_function("grid4x4_k3_unfiltered", |bch| {
         bch.iter(|| black_box(search(&unfiltered, black_box(&grid), 3)))
     });
 
     // Wide variant: the 260-vertex cycle at its true width k = 2. Every
-    // vertex set spans five 64-bit words, so this is the regime where the
-    // incremental mode's full-width stack copies amortise — the
-    // measurement behind the `LpMode::Auto` word threshold (see
-    // BENCHMARKS.md). `with_lambda_p_mode` pins the modes explicitly;
-    // the default engine would resolve `Auto` to incremental here.
+    // vertex set spans five 64-bit words, so the pre-filter's per-pair
+    // walks touch several words per `bad` vertex here.
     let wide = families::cycle(260);
-    let wide_pp = LogK::sequential().with_lambda_p_mode(LpMode::Never);
-    let wide_inc = LogK::sequential().with_lambda_p_mode(LpMode::Always);
     let wide_unf = LogK::sequential().with_lambda_p_prefilter(false);
     g.bench_function("cycle260_k2_prefiltered", |bch| {
-        bch.iter(|| black_box(search(&wide_pp, black_box(&wide), 2)))
-    });
-    g.bench_function("cycle260_k2_inc_prefiltered", |bch| {
-        bch.iter(|| black_box(search(&wide_inc, black_box(&wide), 2)))
+        bch.iter(|| black_box(search(&filtered, black_box(&wide), 2)))
     });
     g.bench_function("cycle260_k2_unfiltered", |bch| {
         bch.iter(|| black_box(search(&wide_unf, black_box(&wide), 2)))

@@ -57,13 +57,10 @@ use std::sync::Arc;
 
 use decomp::{rebase_fragment, Control, Decomposition, Fragment, Interrupted};
 use detk::{DetKDecomp, DetkScratch, MemoSnapshot, SharedMemo};
-use hypergraph::subsets::{
-    for_each_subset_driven_in, for_each_subset_in, for_each_subset_with_lead_in, subset_space_size,
-    SubsetStep,
-};
+use hypergraph::subsets::{for_each_subset_in, for_each_subset_with_lead_in, subset_space_size};
 use hypergraph::{
-    separate_into, Component, Edge, EdgeSet, Hypergraph, LevelStack, MaskMatrix, Scratch,
-    Separation, SpecialArena, Subproblem, VertexSet,
+    separate_into, Component, Edge, EdgeSet, Hypergraph, LevelStack, Scratch, Separation,
+    SpecialArena, Subproblem, VertexSet,
 };
 
 use crate::cache::{CacheSnapshot, Probe, SubproblemCache};
@@ -153,32 +150,6 @@ impl HybridMetric {
     }
 }
 
-/// When the λp pre-filter maintains its spill-touch masks incrementally
-/// across the subset walk instead of re-walking the spill vertices per
-/// (λc, λp) pair. See [`EngineConfig::lambda_p_incremental`] for the
-/// trade-off; measured verdicts live in BENCHMARKS.md.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LpMode {
-    /// Always re-walk per pair (the word-sized-instance winner).
-    Never,
-    /// Always maintain the masks incrementally.
-    Always,
-    /// Decide per instance: incremental on wide instances (vertex
-    /// universe spanning more than [`LP_INCREMENTAL_AUTO_WORDS`] words,
-    /// where per-pair sparse walks touch many words per vertex), per-pair
-    /// below. This is the default.
-    #[default]
-    Auto,
-}
-
-/// [`LpMode::Auto`] threshold: instances whose vertex universe
-/// spans more than this many 64-bit words run the incremental λp walk.
-/// Set from the `micro/lp_prune` wide-vs-word-sized measurements
-/// (BENCHMARKS.md): the per-pair sparse walk wins below (small `bad`
-/// sets are nearly free), the word-parallel stack maintenance wins
-/// above.
-pub const LP_INCREMENTAL_AUTO_WORDS: usize = 4;
-
 /// Hybridisation policy: below `threshold` the engine switches to
 /// `det-k-decomp` on the subproblem.
 #[derive(Clone, Copy, Debug)]
@@ -226,20 +197,6 @@ pub struct EngineConfig {
     /// default; turning it off only adds `separate_into` calls — the
     /// differential suite pins that verdicts are identical either way.
     pub lambda_p_prefilter: bool,
-    /// Maintain the pre-filter's `edges_touching` spill masks
-    /// *incrementally* across the λp subset walk (per-candidate masks
-    /// precomputed once per λc, prefix union/touch stacks extended by one
-    /// word-parallel union per push) instead of re-walking the spill
-    /// vertices for every (λc, λp) pair. Identical rejections either way
-    /// (differential-tested); this knob trades per-pair sparse walks for
-    /// per-push full-width mask copies. Measured on the micro corpus
-    /// (`micro/lp_prune` `grid4x4_k3_inc`, BENCHMARKS.md): the sparse
-    /// walk wins on word-sized instances — small `bad` sets make the
-    /// per-pair walk nearly free while the stack copies are pure
-    /// overhead — while on wide-bitset instances with large spills the
-    /// incremental walk wins. [`LpMode::Auto`] (the default)
-    /// picks per instance size.
-    pub lambda_p_incremental: LpMode,
     /// Largest fragment (node count) stored by a positive cache insert;
     /// `usize::MAX` stores every found fragment, `0` disables positive
     /// inserts. See [`DEFAULT_POS_CACHE_MAX_FRAG`].
@@ -271,7 +228,6 @@ impl EngineConfig {
             cache_bytes: DEFAULT_CACHE_BYTES,
             detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             lambda_p_prefilter: true,
-            lambda_p_incremental: LpMode::Auto,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
             child_split_min_components: DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
             child_split_min_size: DEFAULT_CHILD_SPLIT_MIN_SIZE,
@@ -559,27 +515,8 @@ struct LevelScratch {
     touch_x: EdgeSet,
     /// Per-λp inadmissible-vertex set (⋃λp spill ∪ uncovered connector).
     bad: VertexSet,
-    /// Second operand buffer for assembling `bad`.
-    bad_tmp: VertexSet,
     /// Members touching `bad ∪ X` (per λp).
     touch_bad: EdgeSet,
-    /// Edges touching the uncovered connector part (per λp): the only
-    /// coverage walk left on the incremental pre-filter path.
-    touch_uncov: EdgeSet,
-    /// Per-candidate coverage masks for the incremental λp walk: row `i`
-    /// holds the edges touching `(cands_p[i] \ ⋃λc) ∩ V(H')`, computed
-    /// once per λc instead of re-walking the spill vertices for every
-    /// (λc, λp) pair. SoA layout: all rows in one contiguous allocation,
-    /// so the per-push mask folds stream adjacent cache lines instead of
-    /// chasing per-candidate heap pointers.
-    spill_touch: MaskMatrix<Edge>,
-    /// Depth-indexed stack of `⋃` of the current λp prefix, maintained
-    /// across the subset walk (one union per push, not `|λp|` per
-    /// candidate).
-    lp_union_stack: Vec<VertexSet>,
-    /// Depth-indexed stack of the prefix's spill-touch mask
-    /// (`⋃ spill_touch[i]` over the prefix members).
-    lp_touch_stack: Vec<EdgeSet>,
     /// Node-local λp split memo: `⋃λp → comp_down` (`None` = no
     /// oversized component). The `[⋃λp]`-separation depends only on the
     /// subproblem and the separator vertex set — not on λc — and the
@@ -663,9 +600,6 @@ struct ChildCtx<'a> {
     x_conn: &'a mut VertexSet,
     conn_uc: &'a mut VertexSet,
     touch_x: &'a mut EdgeSet,
-    spill_touch: &'a mut MaskMatrix<Edge>,
-    lp_union_stack: &'a mut Vec<VertexSet>,
-    lp_touch_stack: &'a mut Vec<EdgeSet>,
     pair: PairCtx<'a>,
 }
 
@@ -675,9 +609,7 @@ struct PairCtx<'a> {
     union_p: &'a mut VertexSet,
     chi_pair: &'a mut VertexSet,
     bad: &'a mut VertexSet,
-    bad_tmp: &'a mut VertexSet,
     touch_bad: &'a mut EdgeSet,
-    touch_uncov: &'a mut EdgeSet,
     lp_memo: &'a mut HashMap<VertexSet, Option<Component>>,
     down: DownCtx<'a>,
 }
@@ -685,6 +617,10 @@ struct PairCtx<'a> {
 /// Per-λc inputs of the λp admissibility pre-filter, borrowed by every
 /// `try_parent` call of one `ParentLoop`. The underlying sets live in the
 /// level's [`ChildCtx`] buffers; this view freezes them for the loop.
+/// Per λp, `try_parent` assembles `bad` (below) and walks its set bits
+/// into a touching-members mask, so the per-pair cost follows `|bad|`.
+/// `try_parent` receives `None` instead when the filter is off
+/// (`lambda_p_prefilter: false`).
 ///
 /// Soundness argument (why a hit can skip the BFS separation): a vertex
 /// `v ∈ ⋃λp ∩ V(comp_down)` must lie in `χc ⊆ ⋃λc` (lines 31–32), and a
@@ -703,49 +639,6 @@ struct PreFilter<'a> {
     conn_uc: &'a VertexSet,
     /// Members of the subproblem touching `x_conn`.
     touch_x: &'a EdgeSet,
-}
-
-/// Per-λp view of the incremental pre-filter walk handed to
-/// `LogKEngine::try_parent`: the λc-level [`PreFilter`] sets plus the
-/// subset walk's depth-indexed stack tops for the current λp prefix.
-/// `union_p` equals `⋃λp` and `touch_spill` equals the edges touching
-/// `(⋃λp \ ⋃λc) ∩ V(H')` — both maintained across the walk (one
-/// word-parallel union per prefix push) instead of recomputed per
-/// candidate pair.
-struct LpIncremental<'a> {
-    pf: &'a PreFilter<'a>,
-    /// `⋃λp` of the visited candidate (stack top).
-    union_p: &'a VertexSet,
-    /// Edges touching the candidate's spill `(⋃λp \ ⋃λc) ∩ V(H')`
-    /// (stack top).
-    touch_spill: &'a EdgeSet,
-}
-
-/// Pre-filter mode of one `ParentLoop` iteration. Both filtering modes
-/// reject exactly the same candidates (the differential suite pins it);
-/// they differ in how the spill's coverage-touch mask is obtained — a
-/// sparse per-pair vertex walk, or the incremental stacks of the driven
-/// subset walk (see [`EngineConfig::lambda_p_incremental`] for the
-/// measured trade-off).
-enum LpFilter<'a> {
-    /// Pre-filter disabled (`lambda_p_prefilter: false`).
-    Off,
-    /// Recompute `edges_touching(bad)` per candidate pair — the
-    /// output-sensitive walk over `bad`'s set bits.
-    PerPair(&'a PreFilter<'a>),
-    /// Read the masks off the walk's depth-indexed stacks.
-    Incremental(LpIncremental<'a>),
-}
-
-impl<'a> LpFilter<'a> {
-    /// The λc-level pre-filter sets, when filtering is on.
-    fn prefilter(&self) -> Option<&'a PreFilter<'a>> {
-        match self {
-            LpFilter::Off => None,
-            LpFilter::PerPair(pf) => Some(pf),
-            LpFilter::Incremental(i) => Some(i.pf),
-        }
-    }
 }
 
 /// Buffers that survive into the child recursions (`try_as_root`,
@@ -793,12 +686,7 @@ impl LevelScratch {
             conn_uc,
             touch_x,
             bad,
-            bad_tmp,
             touch_bad,
-            touch_uncov,
-            spill_touch,
-            lp_union_stack,
-            lp_touch_stack,
             lp_memo,
         } = self;
         let meters = &*meters;
@@ -814,17 +702,12 @@ impl LevelScratch {
                 x_conn,
                 conn_uc,
                 touch_x,
-                spill_touch,
-                lp_union_stack,
-                lp_touch_stack,
                 pair: PairCtx {
                     seps_p,
                     union_p,
                     chi_pair,
                     bad,
-                    bad_tmp,
                     touch_bad,
-                    touch_uncov,
                     lp_memo,
                     down: DownCtx {
                         meters,
@@ -878,10 +761,6 @@ pub struct LogKEngine<'h> {
     /// Entry cap of each node-local λp split memo, derived from
     /// [`LP_MEMO_BYTES`] and this instance's per-entry bitset footprint.
     lp_memo_cap: usize,
-    /// [`EngineConfig::lambda_p_incremental`] resolved against this
-    /// instance's width ([`LpMode::Auto`] picks per vertex-universe
-    /// size, so the decision is made once here, not per candidate).
-    lp_incremental: bool,
 }
 
 type FragResult = Result<Option<Fragment>, Stop>;
@@ -908,11 +787,6 @@ impl<'h> LogKEngine<'h> {
         let es_bytes = hg.num_edges().div_ceil(64) * 8;
         let entry_bytes = 2 * vs_bytes + 2 * es_bytes + 96;
         let lp_memo_cap = (LP_MEMO_BYTES / entry_bytes).clamp(16, 1 << 15);
-        let lp_incremental = match cfg.lambda_p_incremental {
-            LpMode::Never => false,
-            LpMode::Always => true,
-            LpMode::Auto => hg.num_vertices().div_ceil(64) > LP_INCREMENTAL_AUTO_WORDS,
-        };
         LogKEngine {
             hg,
             ctrl,
@@ -924,7 +798,6 @@ impl<'h> LogKEngine<'h> {
             branch_pool: std::sync::Mutex::new(Vec::new()),
             detk_pool: std::sync::Mutex::new(Vec::new()),
             lp_memo_cap,
-            lp_incremental,
         }
     }
 
@@ -1423,9 +1296,6 @@ impl<'h> LogKEngine<'h> {
             x_conn,
             conn_uc,
             touch_x,
-            spill_touch,
-            lp_union_stack,
-            lp_touch_stack,
             pair,
         } = ctx;
         // λc must contain a "new" edge (progress, Def. 3.5(2)).
@@ -1525,82 +1395,22 @@ impl<'h> LogKEngine<'h> {
             None
         };
         let lam_p_cap = lam_buf_p.capacity();
-        let found = if let (Some(pf), true) = (prefilter.as_ref(), self.lp_incremental) {
-            // Incremental pre-filter walk: the coverage-touch mask of the
-            // λp spill — a vertex walk over `(⋃λp \ ⋃λc) ∩ V(H')`
-            // recomputed for every (λc, λp) pair in the default mode — is
-            // maintained across the subset walk instead. Per λc, one mask
-            // per *candidate edge* is precomputed; per *push* of the walk
-            // the prefix's union and touch mask extend by one
-            // word-parallel union; per visited λp the filter reads the
-            // stack tops. Depth-indexed stacks make pops free (the next
-            // push at a depth overwrites it).
-            let k = self.cfg.k;
-            meters.bump_grow(spill_touch.reset(cands_p.len(), self.hg.num_edges()));
-            for (i, &e) in cands_p.iter().enumerate() {
-                // spill_e = (V(e) \ ⋃λc) ∩ V(H'), assembled in `bad`
-                // (free at this point: the walk below owns it per λp),
-                // its touch mask written straight into SoA row `i`.
-                meters.bump_grow(pair.bad.assign_diff_and(self.hg.edge(e), union_c, vsub));
-                self.hg.edges_touching_into_row(pair.bad, spill_touch, i);
-            }
-            if lp_union_stack.len() < k {
-                lp_union_stack.resize_with(k, VertexSet::default);
-                lp_touch_stack.resize_with(k, EdgeSet::default);
-            }
-            for_each_subset_driven_in(cands_p, k, lam_buf_p, |step| match step {
-                SubsetStep::Push {
-                    edge,
-                    index,
-                    depth: d,
-                } => {
-                    if d == 0 {
-                        meters.bump_grow(lp_union_stack[0].copy_from(self.hg.edge(edge)));
-                        meters.bump_grow(spill_touch.copy_row_into(index, &mut lp_touch_stack[0]));
-                    } else {
-                        let (head, tail) = lp_union_stack.split_at_mut(d);
-                        meters.bump_grow(tail[0].copy_from(&head[d - 1]));
-                        tail[0].union_with(self.hg.edge(edge));
-                        let (head, tail) = lp_touch_stack.split_at_mut(d);
-                        meters.bump_grow(tail[0].copy_from(&head[d - 1]));
-                        spill_touch.or_row_into(index, &mut tail[0]);
-                    }
-                    ControlFlow::Continue(())
-                }
-                SubsetStep::Pop { .. } => ControlFlow::Continue(()),
-                SubsetStep::Visit { subset: lam_p } => {
-                    let top = lam_p.len() - 1;
-                    self.try_parent(
-                        arena,
-                        sub,
-                        conn,
-                        allowed,
-                        depth,
-                        prune,
-                        vsub,
-                        lam_c,
-                        union_c,
-                        lam_p,
-                        LpFilter::Incremental(LpIncremental {
-                            pf,
-                            union_p: &lp_union_stack[top],
-                            touch_spill: &lp_touch_stack[top],
-                        }),
-                        pair,
-                    )
-                }
-            })
-        } else {
-            for_each_subset_in(cands_p, self.cfg.k, lam_buf_p, |lam_p| {
-                let lp = match prefilter.as_ref() {
-                    Some(pf) => LpFilter::PerPair(pf),
-                    None => LpFilter::Off,
-                };
-                self.try_parent(
-                    arena, sub, conn, allowed, depth, prune, vsub, lam_c, union_c, lam_p, lp, pair,
-                )
-            })
-        };
+        let found = for_each_subset_in(cands_p, self.cfg.k, lam_buf_p, |lam_p| {
+            self.try_parent(
+                arena,
+                sub,
+                conn,
+                allowed,
+                depth,
+                prune,
+                vsub,
+                lam_c,
+                union_c,
+                lam_p,
+                prefilter.as_ref(),
+                pair,
+            )
+        });
         meters.bump_grow(lam_buf_p.capacity() > lam_p_cap);
         match found {
             Some(r) => ControlFlow::Break(r),
@@ -1668,7 +1478,7 @@ impl<'h> LogKEngine<'h> {
         lam_c: &[Edge],
         union_c: &VertexSet,
         lam_p: &[Edge],
-        lp: LpFilter<'_>,
+        prefilter: Option<&PreFilter<'_>>,
         pair: &mut PairCtx<'_>,
     ) -> Found {
         if let Err(e) = poll(self.ctrl, prune) {
@@ -1676,12 +1486,10 @@ impl<'h> LogKEngine<'h> {
         }
         let PairCtx {
             seps_p,
-            union_p: union_p_buf,
+            union_p,
             chi_pair,
             bad,
-            bad_tmp,
             touch_bad,
-            touch_uncov,
             lp_memo,
             down,
         } = pair;
@@ -1691,24 +1499,13 @@ impl<'h> LogKEngine<'h> {
             meters.reject_p();
             return ControlFlow::Continue(());
         }
-        // ⋃λp: maintained by the incremental walk, else computed into the
-        // level buffer.
-        let union_p: &VertexSet = match &lp {
-            LpFilter::Incremental(i) => i.union_p,
-            _ => {
-                meters.bump_grow(self.hg.union_of_slice_into(lam_p, union_p_buf));
-                union_p_buf
-            }
-        };
+        meters.bump_grow(self.hg.union_of_slice_into(lam_p, union_p));
         // Admissibility pre-filter (see [`PreFilter`]): members touching
         // `bad = ((⋃λp \ ⋃λc) ∪ (Conn \ (⋃λc ∩ ⋃λp))) ∩ V(H')` are
         // provably outside any admissible `comp_down`; if at most half the
         // members remain, the checks of lines 24–32 cannot all pass and
-        // the BFS separation is skipped. The two filtering modes assemble
-        // `touch_bad` differently — per-pair walks `bad`'s set bits, the
-        // incremental mode reads the walk's stack and only walks the
-        // (small) uncovered-connector part — but reject identically.
-        if let Some(pf) = lp.prefilter() {
+        // the BFS separation is skipped.
+        if let Some(pf) = prefilter {
             // `bad = ((⋃λp \ ⋃λc) ∩ V(H')) ∪ ((Conn ∩ ⋃λc ∩ V(H')) \ ⋃λp)`
             // in one fused pass over the four operands, its emptiness a
             // by-product — previously five chained two-operand passes
@@ -1719,23 +1516,7 @@ impl<'h> LogKEngine<'h> {
             // the half-size test in `try_child`, so rejection is
             // impossible — go straight to the separation.
             if nonempty {
-                match &lp {
-                    LpFilter::Off => unreachable!("prefilter() returned Some"),
-                    LpFilter::PerPair(_) => {
-                        meters.bump_grow(self.hg.edges_touching_into(bad, touch_bad));
-                    }
-                    LpFilter::Incremental(i) => {
-                        meters.bump_grow(touch_bad.copy_from(i.touch_spill));
-                        // uncov = (Conn ∩ ⋃λc ∩ V(H')) \ ⋃λp — the only
-                        // coverage walk left on the incremental path.
-                        meters.bump_grow(bad_tmp.copy_from(pf.conn_uc));
-                        bad_tmp.difference_with(union_p);
-                        if !bad_tmp.is_empty() {
-                            meters.bump_grow(self.hg.edges_touching_into(bad_tmp, touch_uncov));
-                            touch_bad.union_with(touch_uncov);
-                        }
-                    }
-                }
+                meters.bump_grow(self.hg.edges_touching_into(bad, touch_bad));
                 // `|(touch_bad ∩ E') ∪ touch_x|` in one counting pass
                 // (`touch_x` is already ⊆ E'), nothing materialised.
                 let excluded = touch_bad.count_intersect_union(&sub.edges, pf.touch_x)

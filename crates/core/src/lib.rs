@@ -27,9 +27,9 @@ mod tests_theory;
 pub use basic::{decide_basic, decompose_basic, SolveResult};
 pub use cache::{CacheSnapshot, Probe, SubproblemCache};
 pub use engine::{
-    EngineConfig, EngineStats, HybridConfig, HybridMetric, LogKEngine, LpMode, SolveStats,
+    EngineConfig, EngineStats, HybridConfig, HybridMetric, LogKEngine, SolveStats,
     DEFAULT_CACHE_BYTES, DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE,
-    DEFAULT_DETK_CACHE_CAP, LP_INCREMENTAL_AUTO_WORDS,
+    DEFAULT_DETK_CACHE_CAP,
 };
 pub use settle::{settle, Settled, SettledBy};
 pub use solver::{shared_pool, width_bounds_with, LogK, SharedTables, Variant, WidthBounds};

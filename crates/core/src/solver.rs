@@ -26,7 +26,7 @@ use rayon::ThreadPool;
 
 use crate::cache::{CacheSnapshot, SubproblemCache};
 use crate::engine::{
-    EngineConfig, HybridConfig, HybridMetric, LogKEngine, LpMode, SolveStats, DEFAULT_CACHE_BYTES,
+    EngineConfig, HybridConfig, HybridMetric, LogKEngine, SolveStats, DEFAULT_CACHE_BYTES,
     DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE, DEFAULT_DETK_CACHE_CAP,
     DEFAULT_POS_CACHE_MAX_FRAG,
 };
@@ -161,10 +161,10 @@ pub enum Variant {
 pub struct LogK {
     /// Which engine to run.
     pub variant: Variant,
-    /// Worker threads for [`Variant::Parallel`]; `None` uses the ambient
-    /// rayon pool (all cores). Resolved through the process-wide pool
-    /// cache (see [`shared_pool`]) unless an explicit pool was attached
-    /// with [`Self::with_pool`].
+    /// Worker threads for [`Variant::Parallel`]; `None` takes the ambient
+    /// worker count (`RAYON_NUM_THREADS`, else all cores). Resolved
+    /// through the process-wide pool cache (see [`shared_pool`]) unless
+    /// an explicit pool was attached with [`Self::with_pool`].
     pub threads: Option<usize>,
     /// Explicit pool attached by [`Self::with_pool`]; takes precedence
     /// over `threads` for [`Variant::Parallel`] solves.
@@ -184,11 +184,6 @@ pub struct LogK {
     /// λp admissibility pre-filter (cheap bitset rejection before the BFS
     /// separation). See [`EngineConfig::lambda_p_prefilter`].
     pub lambda_p_prefilter: bool,
-    /// Incremental (walk-maintained) pre-filter touch masks instead of
-    /// per-pair recomputation. See
-    /// [`EngineConfig::lambda_p_incremental`] for the measured trade-off;
-    /// the default ([`LpMode::Auto`]) decides per instance size.
-    pub lambda_p_incremental: LpMode,
     /// Largest fragment (node count) stored by a positive cache insert.
     /// See [`EngineConfig::pos_cache_max_frag`].
     pub pos_cache_max_frag: usize,
@@ -218,7 +213,6 @@ impl LogK {
             cache_bytes: DEFAULT_CACHE_BYTES,
             detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             lambda_p_prefilter: true,
-            lambda_p_incremental: LpMode::Auto,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
             child_split_min_components: DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
             child_split_min_size: DEFAULT_CHILD_SPLIT_MIN_SIZE,
@@ -294,16 +288,6 @@ impl LogK {
         self
     }
 
-    /// Replaces the λp incremental-maintenance policy: touch masks kept
-    /// incrementally across the λp subset walk ([`LpMode::Always`]),
-    /// recomputed per pair ([`LpMode::Never`]), or chosen per level
-    /// ([`LpMode::Auto`], the default). Identical rejections either way,
-    /// different constant — measured in BENCHMARKS.md.
-    pub fn with_lambda_p_mode(mut self, mode: LpMode) -> Self {
-        self.lambda_p_incremental = mode;
-        self
-    }
-
     /// Replaces the node-count cap for positive cache inserts
     /// (`usize::MAX` stores every found fragment, `0` stores none).
     pub fn with_pos_cache_max_frag(mut self, max: usize) -> Self {
@@ -367,7 +351,6 @@ impl LogK {
             cache_bytes: self.cache_bytes,
             detk_cache_cap: self.detk_cache_cap,
             lambda_p_prefilter: self.lambda_p_prefilter,
-            lambda_p_incremental: self.lambda_p_incremental,
             pos_cache_max_frag: self.pos_cache_max_frag,
             child_split_min_components: self.child_split_min_components,
             child_split_min_size: self.child_split_min_size,
@@ -377,12 +360,11 @@ impl LogK {
 
     /// The pool a [`Variant::Parallel`] solve runs on: the explicitly
     /// attached one, else the process-wide cached pool for the configured
-    /// thread count, else `None` (ambient pool).
-    fn solve_pool(&self) -> Option<Arc<ThreadPool>> {
-        match (&self.pool, self.threads) {
-            (Some(pool), _) => Some(Arc::clone(pool)),
-            (None, Some(n)) => Some(shared_pool(n)),
-            (None, None) => None,
+    /// (or ambient) thread count.
+    fn solve_pool(&self) -> Arc<ThreadPool> {
+        match &self.pool {
+            Some(pool) => Arc::clone(pool),
+            None => shared_pool(self.threads.unwrap_or_else(rayon::current_num_threads)),
         }
     }
 
@@ -467,7 +449,7 @@ impl LogK {
                 > {
                     let d = engine.decompose()?;
                     // Scheduler activity is attributed by the caller
-                    // (per-pool totals or ambient-pool delta).
+                    // (the pool's delta around the solve).
                     let stats = SolveStats {
                         detk_memo: engine.detk_memo_snapshot(),
                         cache: engine.cache_snapshot(),
@@ -481,44 +463,24 @@ impl LogK {
                 if !matches!(self.variant, Variant::Parallel) {
                     return run(&self.build_engine(hg, ctrl, cfg));
                 }
-                match self.solve_pool() {
-                    Some(pool) => {
-                        // The whole solve — λc join-races, hybrid det-k
-                        // handoffs included — runs inside the pool's
-                        // scope, i.e. on its worker threads: the bound is
-                        // the worker count, exactly, however the search
-                        // nests. The pool itself is long-lived (cached or
-                        // caller-owned), so no per-solve spawn/join tax.
-                        // Cached pools live across solves, so their
-                        // counters are cumulative: attribute the delta
-                        // around this solve (advisory — concurrent solves
-                        // sharing the pool blur into each other's deltas,
-                        // same as the ambient path below).
-                        let before = pool.scheduler_stats();
-                        let engine = self.build_engine(hg, ctrl, cfg);
-                        let out = pool.scope(|_| run(&engine));
-                        let after = pool.scheduler_stats();
-                        out.map(|(d, mut stats)| {
-                            stats.sched_steals = after.steals.saturating_sub(before.steals);
-                            stats.sched_parks = after.parks.saturating_sub(before.parks);
-                            (d, stats)
-                        })
-                    }
-                    None => {
-                        // Ambient pool: counters are process-lifetime
-                        // totals, so attribute the delta around the solve
-                        // (advisory — concurrent solves on the same
-                        // global pool blur into each other's deltas).
-                        let before = rayon::current_scheduler_stats();
-                        let out = run(&self.build_engine(hg, ctrl, cfg));
-                        let after = rayon::current_scheduler_stats();
-                        out.map(|(d, mut stats)| {
-                            stats.sched_steals = after.steals.saturating_sub(before.steals);
-                            stats.sched_parks = after.parks.saturating_sub(before.parks);
-                            (d, stats)
-                        })
-                    }
-                }
+                // The whole solve — λc join-races, hybrid det-k handoffs
+                // included — runs inside the pool's scope, i.e. on its
+                // worker threads: the bound is the worker count, exactly,
+                // however the search nests. The pool itself is long-lived
+                // (cached or caller-owned), so no per-solve spawn/join
+                // tax. Its counters are therefore cumulative: attribute
+                // the delta around this solve (advisory — concurrent
+                // solves sharing the pool blur into each other's deltas).
+                let pool = self.solve_pool();
+                let before = pool.scheduler_stats();
+                let engine = self.build_engine(hg, ctrl, cfg);
+                let out = pool.scope(|_| run(&engine));
+                let after = pool.scheduler_stats();
+                out.map(|(d, mut stats)| {
+                    stats.sched_steals = after.steals.saturating_sub(before.steals);
+                    stats.sched_parks = after.parks.saturating_sub(before.parks);
+                    (d, stats)
+                })
             }
         }
     }

@@ -438,18 +438,6 @@ impl<I: Ix> TypedBitSet<I> {
         grew
     }
 
-    /// Makes `self` the set over `nbits` elements whose raw blocks are
-    /// `blocks` (a [`crate::matrix::MaskMatrix`] row). Returns the grow
-    /// flag, like [`Self::reset`].
-    #[inline]
-    pub(crate) fn assign_blocks(&mut self, nbits: usize, blocks: &[u64]) -> bool {
-        debug_assert_eq!(blocks.len(), nbits.div_ceil(BITS));
-        let grew = self.reset_uninit(nbits);
-        self.blocks.copy_from_slice(blocks);
-        self.debug_assert_tail();
-        grew
-    }
-
     /// `(self \ other).is_empty()` without allocating — i.e. subset test.
     /// Kept as an alias mirroring the paper's `(f1 ∩ f2) \ U ≠ ∅` tests.
     #[inline]

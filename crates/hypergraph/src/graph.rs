@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::bitset::{Edge, EdgeSet, Vertex, VertexSet};
-use crate::lanes;
 use crate::matrix::MaskMatrix;
 
 /// A hypergraph `H = (V(H), E(H))`.
@@ -159,20 +158,6 @@ impl Hypergraph {
             self.incidence_rows.or_row_into(v.0 as usize, out);
         }
         grew
-    }
-
-    /// Like [`Self::edges_touching_into`], but the destination is row
-    /// `row` of a caller-owned [`MaskMatrix`] — the λp pre-filter stores
-    /// one touching-mask per candidate edge and this writes each mask
-    /// straight into its SoA slot, incidence rows and destination both
-    /// contiguous.
-    pub fn edges_touching_into_row(&self, vs: &VertexSet, m: &mut MaskMatrix<Edge>, row: usize) {
-        debug_assert_eq!(m.row_bits(), self.num_edges());
-        m.clear_row(row);
-        let out = m.row_mut(row);
-        for v in vs {
-            lanes::or_assign(out, self.incidence_rows.row(v.0 as usize));
-        }
     }
 
     /// Name of vertex `v`.
@@ -451,16 +436,6 @@ mod tests {
         }
         assert_eq!(fast, naive);
         assert!(fast.tail_invariant_ok());
-
-        // edges_touching_into_row writes the same mask as the set variant.
-        let vs = VertexSet::from_iter(h.num_vertices(), [Vertex(2), Vertex(5)]);
-        let mut m: MaskMatrix<Edge> = MaskMatrix::new();
-        m.reset(2, h.num_edges());
-        h.edges_touching_into_row(&vs, &mut m, 1);
-        let mut row = h.edge_set();
-        m.copy_row_into(1, &mut row);
-        assert_eq!(row, h.edges_touching(&vs));
-        assert!(m.row_is_empty(0));
     }
 
     #[test]

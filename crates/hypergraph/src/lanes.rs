@@ -2,8 +2,9 @@
 //! bitset operation in the workspace.
 //!
 //! All hot loops of the decomposition engines reduce to operations over
-//! `&[u64]` block slices ([`crate::bitset::TypedBitSet`] storage, or rows
-//! of a [`crate::matrix::MaskMatrix`]). This module implements them in
+//! `&[u64]` block slices ([`crate::bitset::TypedBitSet`] storage, or the
+//! hypergraph's edge/incidence rows in a [`crate::matrix::MaskMatrix`]).
+//! This module implements them in
 //! explicit-width chunks of [`LANES`] words: the chunked bodies are
 //! shaped so LLVM autovectorises them to full-width SIMD on any target
 //! that has it, while the remainder loops are the plain scalar fallback —

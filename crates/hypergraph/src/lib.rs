@@ -8,7 +8,7 @@
 //!   to: fused multi-operand single-pass loops shaped for
 //!   autovectorization;
 //! * [`matrix`] — [`MaskMatrix`], a structure-of-arrays block of bitset
-//!   rows sharing one contiguous allocation (per-candidate masks, edge /
+//!   rows sharing one contiguous allocation (the hypergraph's edge and
 //!   incidence storage);
 //! * [`graph`] — the interned [`Hypergraph`] type and its builder;
 //! * [`parse`] — HyperBench and PACE 2019 readers/writers;

@@ -3,10 +3,9 @@
 //! A [`MaskMatrix`] stores a fixed number of equal-universe bitset rows
 //! back to back in a single `Vec<u64>`. Compared to a `Vec<TypedBitSet>`
 //! it removes one pointer indirection per row and keeps consecutive rows
-//! on adjacent cache lines, which is what the λp pre-filter's
-//! per-candidate mask walk and the [`crate::Hypergraph`] edge/incidence
-//! folds actually iterate: the hot loops stream contiguous lane columns
-//! instead of chasing per-row heap allocations.
+//! on adjacent cache lines, which is what the [`crate::Hypergraph`]
+//! edge/incidence folds iterate: the hot loops stream contiguous lane
+//! columns instead of chasing per-row heap allocations.
 //!
 //! Rows obey the same tail invariant as [`crate::bitset::TypedBitSet`]
 //! (bits at positions `>= row_bits` of a row's last word are zero), so
@@ -33,7 +32,6 @@ pub struct MaskMatrix<I> {
     stride: usize,
     /// Universe size of every row.
     nbits: usize,
-    rows: usize,
     _tag: PhantomData<fn(I) -> I>,
 }
 
@@ -45,7 +43,6 @@ impl<I> Default for MaskMatrix<I> {
             blocks: Vec::new(),
             stride: 0,
             nbits: 0,
-            rows: 0,
             _tag: PhantomData,
         }
     }
@@ -57,7 +54,6 @@ impl<I> Clone for MaskMatrix<I> {
             blocks: self.blocks.clone(),
             stride: self.stride,
             nbits: self.nbits,
-            rows: self.rows,
             _tag: PhantomData,
         }
     }
@@ -83,30 +79,11 @@ impl<I: Ix> MaskMatrix<I> {
         self.blocks.resize(words, 0);
         self.stride = stride;
         self.nbits = nbits;
-        self.rows = rows;
         grew
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Universe size of every row.
-    #[inline]
-    pub fn row_bits(&self) -> usize {
-        self.nbits
-    }
-
-    /// Words per row.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// The raw blocks of row `r`, low words first. The tail invariant
-    /// guarantees bits past [`Self::row_bits`] are zero.
+    /// guarantees bits past the row universe are zero.
     #[inline]
     pub fn row(&self, r: usize) -> &[u64] {
         let start = r * self.stride;
@@ -114,7 +91,7 @@ impl<I: Ix> MaskMatrix<I> {
     }
 
     #[inline]
-    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [u64] {
+    fn row_mut(&mut self, r: usize) -> &mut [u64] {
         let start = r * self.stride;
         &mut self.blocks[start..start + self.stride]
     }
@@ -126,72 +103,11 @@ impl<I: Ix> MaskMatrix<I> {
         self.row_mut(r).copy_from_slice(src.as_blocks());
     }
 
-    /// Clears row `r`.
-    #[inline]
-    pub fn clear_row(&mut self, r: usize) {
-        self.row_mut(r).fill(0);
-    }
-
-    /// Inserts element `i` into row `r`.
-    #[inline]
-    pub fn row_insert(&mut self, r: usize, i: I) {
-        let idx = i.index();
-        debug_assert!(idx < self.nbits);
-        self.row_mut(r)[idx / BITS] |= 1 << (idx % BITS);
-    }
-
-    /// `row(r) |= src`.
-    #[inline]
-    pub fn or_row_with(&mut self, r: usize, src: &TypedBitSet<I>) {
-        debug_assert_eq!(self.nbits, src.capacity());
-        let row = self.row_mut(r);
-        lanes::or_assign(row, src.as_blocks());
-    }
-
     /// `dst |= row(r)` — fold a row into an accumulator set.
     #[inline]
     pub fn or_row_into(&self, r: usize, dst: &mut TypedBitSet<I>) {
         debug_assert_eq!(self.nbits, dst.capacity());
-        let start = r * self.stride;
-        lanes::or_assign(
-            dst.as_blocks_mut(),
-            &self.blocks[start..start + self.stride],
-        );
-    }
-
-    /// Makes `dst` a copy of row `r` (resizing it to the row universe).
-    /// Returns the grow flag, like [`TypedBitSet::reset`].
-    #[inline]
-    pub fn copy_row_into(&self, r: usize, dst: &mut TypedBitSet<I>) -> bool {
-        dst.assign_blocks(self.nbits, self.row(r))
-    }
-
-    /// Number of elements in row `r`.
-    #[inline]
-    pub fn row_len(&self, r: usize) -> usize {
-        lanes::count_ones(self.row(r))
-    }
-
-    /// Whether row `r` is empty.
-    #[inline]
-    pub fn row_is_empty(&self, r: usize) -> bool {
-        self.row(r).iter().all(|&w| w == 0)
-    }
-
-    /// Whether row `r` intersects `other`.
-    #[inline]
-    pub fn row_intersects(&self, r: usize, other: &TypedBitSet<I>) -> bool {
-        debug_assert_eq!(self.nbits, other.capacity());
-        lanes::any_and(self.row(r), other.as_blocks())
-    }
-
-    /// `|(row(r) ∩ b) ∪ c|` in one pass — the λp exclusion counter run
-    /// directly against a candidate's mask row, nothing materialised.
-    #[inline]
-    pub fn row_count_and_or(&self, r: usize, b: &TypedBitSet<I>, c: &TypedBitSet<I>) -> usize {
-        debug_assert_eq!(self.nbits, b.capacity());
-        debug_assert_eq!(self.nbits, c.capacity());
-        lanes::count_and_or(self.row(r), b.as_blocks(), c.as_blocks())
+        lanes::or_assign(dst.as_blocks_mut(), self.row(r));
     }
 }
 
@@ -209,24 +125,15 @@ mod tests {
         let mut m: MaskMatrix<Vertex> = MaskMatrix::new();
         m.reset(3, 130);
         m.set_row(0, &vs(130, &[0, 64, 129]));
-        m.row_insert(1, Vertex(5));
-        m.or_row_with(1, &vs(130, &[64]));
-        assert_eq!(m.row_len(0), 3);
-        assert_eq!(m.row_len(1), 2);
-        assert!(m.row_is_empty(2));
+        m.set_row(1, &vs(130, &[5, 64]));
+        assert_eq!(m.row(0), vs(130, &[0, 64, 129]).as_blocks());
 
         let mut out = VertexSet::empty(130);
         m.or_row_into(0, &mut out);
         m.or_row_into(1, &mut out);
+        m.or_row_into(2, &mut out);
         assert_eq!(out, vs(130, &[0, 5, 64, 129]));
-
-        let mut cp = VertexSet::default();
-        m.copy_row_into(1, &mut cp);
-        assert_eq!(cp, vs(130, &[5, 64]));
-        assert!(cp.tail_invariant_ok());
-
-        assert!(m.row_intersects(0, &vs(130, &[129])));
-        assert!(!m.row_intersects(2, &vs(130, &[129])));
+        assert!(out.tail_invariant_ok());
     }
 
     #[test]
@@ -234,22 +141,10 @@ mod tests {
         let mut m: MaskMatrix<Vertex> = MaskMatrix::new();
         assert!(m.reset(4, 256));
         m.set_row(3, &vs(256, &[255]));
+        m.set_row(1, &vs(256, &[7]));
         // Shrinking reuses the buffer and clears stale content.
         assert!(!m.reset(2, 100));
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.row_bits(), 100);
-        assert!(m.row_is_empty(0));
-        assert!(m.row_is_empty(1));
-    }
-
-    #[test]
-    fn row_count_and_or_matches_setwise() {
-        let mut m: MaskMatrix<Vertex> = MaskMatrix::new();
-        m.reset(1, 200);
-        m.set_row(0, &vs(200, &[1, 2, 70, 199]));
-        let b = vs(200, &[2, 70, 100]);
-        let c = vs(200, &[0, 2]);
-        // (row ∩ b) ∪ c = {2, 70} ∪ {0, 2} = {0, 2, 70}
-        assert_eq!(m.row_count_and_or(0, &b, &c), 3);
+        assert_eq!(m.row(0), VertexSet::empty(100).as_blocks());
+        assert_eq!(m.row(1), VertexSet::empty(100).as_blocks());
     }
 }

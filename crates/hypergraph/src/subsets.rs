@@ -4,9 +4,7 @@
 //! `1 ≤ |λ| ≤ k`. The enumeration is provided in three flavours:
 //!
 //! * a zero-allocation callback driver ([`for_each_subset`]) used in the
-//!   hot search loops, with early exit through [`ControlFlow`]; its
-//!   driven form ([`for_each_subset_driven_in`]) also reports prefix
-//!   pushes and pops so callers can keep per-prefix state incrementally;
+//!   hot search loops, with early exit through [`ControlFlow`];
 //! * a lead-partitioned variant ([`for_each_subset_with_lead`]) which
 //!   enumerates only the subsets whose *smallest* member is `cands[lead]`.
 //!   The lead index partitions the full space, which is exactly how the
@@ -18,14 +16,14 @@
 //!   det-k-decomp (Gottlob & Samer), where a label that misses part of
 //!   `Conn` can never be a valid node.
 //!
-//! [`for_each_subset`] and its driven form produce subsets in
-//! ascending-size, lexicographic order so that cheap (small) separators
-//! are tried first; the engine's λp walk uses that order. The engine's λc
-//! walk is *lead-major*: it visits the leads `0, 1, …` in turn, each
-//! through [`for_each_subset_with_lead_in`], so ascending size holds only
-//! within a lead (every subset of lead 0, up to size `k`, comes before the
-//! singleton of lead 1). Leads that race across a pool partition the
-//! same space.
+//! [`for_each_subset`] produces subsets in ascending-size, lexicographic
+//! order so that cheap (small) separators are tried first; the engine's
+//! λp walk uses that order. The engine's λc walk is *lead-major*: it
+//! visits the leads `0, 1, …` in turn, each through
+//! [`for_each_subset_with_lead_in`], so ascending size holds only within
+//! a lead (every subset of lead 0, up to size `k`, comes before the
+//! singleton of lead 1). Leads that race across a pool partition the same
+//! space.
 
 use std::ops::ControlFlow;
 
@@ -97,87 +95,6 @@ pub fn for_each_subset_with_lead_in<T>(
         }
     }
     None
-}
-
-/// One step of a driven subset walk (see [`for_each_subset_driven_in`]).
-///
-/// The walk is the same depth-first, ascending-size enumeration as
-/// [`for_each_subset_in`], but exposes the prefix pushes and pops so the
-/// caller can maintain per-prefix state *incrementally* — e.g. the
-/// engine's λp pre-filter keeps `⋃λp` and its coverage-touch masks as
-/// depth-indexed stacks, updated once per push instead of recomputed per
-/// visited subset. Consecutive subsets share long prefixes, so the
-/// per-visit cost drops from `O(|subset|)` set unions (plus a vertex
-/// walk) to `O(1)` stack reads.
-#[derive(Debug)]
-pub enum SubsetStep<'a> {
-    /// `cands[index]` was appended to the prefix; it now sits at position
-    /// `depth` (the prefix length is `depth + 1`).
-    Push {
-        /// The appended candidate.
-        edge: Edge,
-        /// Its index in `cands`.
-        index: usize,
-        /// Its position in the prefix.
-        depth: usize,
-    },
-    /// The edge at position `depth` was removed from the prefix.
-    Pop {
-        /// The vacated position.
-        depth: usize,
-    },
-    /// A complete subset of size `1..=k` — same sequence, same slices, as
-    /// [`for_each_subset_in`] produces.
-    Visit {
-        /// The current subset (valid for the duration of the call).
-        subset: &'a [Edge],
-    },
-}
-
-/// Like [`for_each_subset_in`], additionally reporting every prefix
-/// push/pop to `f` (as [`SubsetStep`]s) so per-prefix state can be
-/// maintained incrementally across the walk. `Break` from any step ends
-/// the enumeration.
-pub fn for_each_subset_driven_in<T>(
-    cands: &[Edge],
-    k: usize,
-    buf: &mut Vec<Edge>,
-    mut f: impl FnMut(SubsetStep<'_>) -> ControlFlow<T>,
-) -> Option<T> {
-    buf.clear();
-    for r in 1..=k.min(cands.len()) {
-        if let ControlFlow::Break(t) = combos_driven(cands, 0, r, buf, &mut f) {
-            return Some(t);
-        }
-    }
-    None
-}
-
-fn combos_driven<T>(
-    cands: &[Edge],
-    start: usize,
-    remaining: usize,
-    buf: &mut Vec<Edge>,
-    f: &mut impl FnMut(SubsetStep<'_>) -> ControlFlow<T>,
-) -> ControlFlow<T> {
-    if remaining == 0 {
-        return f(SubsetStep::Visit { subset: buf });
-    }
-    let last = cands.len().saturating_sub(remaining - 1);
-    for i in start..last {
-        let depth = buf.len();
-        buf.push(cands[i]);
-        f(SubsetStep::Push {
-            edge: cands[i],
-            index: i,
-            depth,
-        })?;
-        let r = combos_driven(cands, i + 1, remaining - 1, buf, f);
-        buf.pop();
-        r?;
-        f(SubsetStep::Pop { depth })?;
-    }
-    ControlFlow::Continue(())
 }
 
 fn combos<T>(
@@ -501,85 +418,6 @@ mod tests {
         assert!(all_subsets(&[], 3).is_empty());
         assert_eq!(subset_space_size(0, 3), 0);
         assert!(for_each_subset_with_lead::<()>(&[], 0, 3, |_| ControlFlow::Break(())).is_none());
-    }
-
-    #[test]
-    fn driven_walk_visits_the_same_subsets_in_order() {
-        let cands = edges(6);
-        let k = 3;
-        let plain = all_subsets(&cands, k);
-        let mut driven = Vec::new();
-        let mut pushes = 0usize;
-        let mut pops = 0usize;
-        let mut depth_now = 0usize;
-        let mut buf = Vec::new();
-        for_each_subset_driven_in::<()>(&cands, k, &mut buf, |step| {
-            match step {
-                SubsetStep::Push { edge, index, depth } => {
-                    assert_eq!(edge, cands[index]);
-                    assert_eq!(depth, depth_now, "push reports the prefix top");
-                    depth_now += 1;
-                    pushes += 1;
-                }
-                SubsetStep::Pop { depth } => {
-                    depth_now -= 1;
-                    assert_eq!(depth, depth_now, "pop reports the vacated position");
-                    pops += 1;
-                }
-                SubsetStep::Visit { subset } => {
-                    assert_eq!(subset.len(), depth_now, "visit sees the full prefix");
-                    driven.push(subset.to_vec());
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        assert_eq!(driven, plain, "driven walk must preserve the order");
-        assert_eq!(pushes, pops, "an exhausted walk balances push/pop");
-    }
-
-    #[test]
-    fn driven_walk_prefix_state_matches_subsets() {
-        // Maintain the prefix as a depth-indexed stack from Push events
-        // alone (pops are free: the next push at a depth overwrites it) —
-        // exactly the engine's incremental-mask pattern. Every Visit must
-        // see stack[0..len] equal to the visited subset.
-        let cands = edges(7);
-        let mut stack: Vec<Edge> = Vec::new();
-        let mut buf = Vec::new();
-        let mut visits = 0usize;
-        for_each_subset_driven_in::<()>(&cands, 3, &mut buf, |step| {
-            match step {
-                SubsetStep::Push { edge, depth, .. } => {
-                    stack.truncate(depth);
-                    stack.push(edge);
-                }
-                SubsetStep::Pop { .. } => {}
-                SubsetStep::Visit { subset } => {
-                    assert_eq!(&stack[..subset.len()], subset);
-                    visits += 1;
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        assert_eq!(visits as u128, subset_space_size(7, 3));
-    }
-
-    #[test]
-    fn driven_walk_breaks_early_from_any_step() {
-        let cands = edges(8);
-        let mut buf = Vec::new();
-        let mut seen = 0usize;
-        let hit = for_each_subset_driven_in(&cands, 2, &mut buf, |step| {
-            if let SubsetStep::Visit { subset } = step {
-                seen += 1;
-                if subset.len() == 2 {
-                    return ControlFlow::Break(subset.to_vec());
-                }
-            }
-            ControlFlow::Continue(())
-        });
-        assert_eq!(hit.unwrap().len(), 2);
-        assert_eq!(seen, 9); // 8 singletons + the first pair
     }
 
     /// A hypergraph over vertices `0..n` (ids equal to the numbers) with

@@ -267,8 +267,7 @@ impl Default for WideConfig {
 /// The wide-instance corpus: HyperBench's `|V| > 100` tail, which the
 /// Table-1 corpus under-represents because its bands are keyed on *edge*
 /// counts. Every instance has hundreds of vertices, so its bitsets span
-/// many 64-bit words — the regime the lane-chunked kernels target, and
-/// the one where the λp incremental mode's `Auto` threshold trips.
+/// many 64-bit words — the regime the lane-chunked kernels target.
 ///
 /// Instances with `width_upper: Some(_)` are known-width CQ shapes that
 /// decompose quickly; the rest (grids, hypercube, overlap-heavy CSPs) are

@@ -14,7 +14,7 @@
 //! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use decomp::{validate_hd_width, Control};
-use logk::{LogK, LpMode};
+use logk::LogK;
 use proptest::prelude::*;
 use workloads::{families, hyperbench_like, wide_corpus, CorpusConfig, WideConfig};
 
@@ -146,158 +146,40 @@ fn grid_prefilter_fires_and_erases_most_separations() {
     }
 }
 
-/// The incremental filtering mode (touch masks maintained across the λp
-/// subset walk) must be *counter-identical* to the default per-pair mode
-/// sequentially — same verdicts, same witnesses, and the exact same
-/// number of separations and pre-filter rejections, since both modes
-/// compute the same `bad`/`touch_bad` sets in a different way.
+/// Wide corpus (hundreds of vertices, multi-word bitsets): the
+/// pre-filtered engine agrees with the unfiltered one at the certified
+/// width, never runs more separations, and produces valid witnesses.
+/// This is the regime the lane-chunked kernels were built for.
 #[test]
-fn incremental_mode_is_counter_identical_to_per_pair() {
-    let corpus = hyperbench_like(CorpusConfig {
-        seed: 2024,
-        scale: 1.0 / 100.0,
-    });
+fn wide_corpus_prefiltered_matches_unfiltered_at_known_width() {
     let ctrl = Control::unlimited();
-    let per_pair = LogK::sequential();
-    let incremental = LogK::sequential().with_lambda_p_mode(LpMode::Always);
-    // The incremental stacks also live in every parallel branch's pooled
-    // scratch bundle; decisions (counters are racy under the "any" race)
-    // must agree there too.
-    let incremental_par = LogK::parallel(2).with_lambda_p_mode(LpMode::Always);
-    let mut fired = 0u64;
-    for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
-        for k in 1..=4usize {
-            let (dp, sp) = per_pair.search_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let (di, si) = incremental.search_with_stats(&inst.hg, k, &ctrl).unwrap();
-            let dpar = incremental_par
-                .search_with_stats(&inst.hg, k, &ctrl)
-                .unwrap()
-                .0;
-            assert_eq!(
-                dp.is_some(),
-                di.is_some(),
-                "modes disagree on {} at k={k}",
-                inst.name
-            );
-            assert_eq!(
-                dp.is_some(),
-                dpar.is_some(),
-                "parallel incremental disagrees on {} at k={k}",
-                inst.name
-            );
-            if let Some(d) = &dpar {
-                validate_hd_width(&inst.hg, d, k).unwrap();
-            }
-            assert_eq!(
-                sp.separations, si.separations,
-                "{} at k={k}: incremental mode changed the separation count",
-                inst.name
-            );
-            assert_eq!(
-                sp.lambda_p_prefiltered, si.lambda_p_prefiltered,
-                "{} at k={k}: incremental mode changed the pre-filter cut",
-                inst.name
-            );
-            fired += si.lambda_p_prefiltered;
-            if let Some(d) = &di {
-                validate_hd_width(&inst.hg, d, k).unwrap();
-            }
-            if dp.is_some() {
-                break;
-            }
-        }
-    }
-    assert!(fired > 0, "the incremental filter must actually fire");
-}
-
-/// Wide corpus (hundreds of vertices, multi-word bitsets): all three λp
-/// modes — per-pair, incremental, and `Auto` (which resolves to the
-/// incremental walk above the word threshold) — agree with the
-/// unfiltered engine at the known width, stay counter-identical
-/// sequentially, and produce valid witnesses. This is the regime the
-/// lane-chunked kernels and the SoA spill-touch matrix were built for.
-#[test]
-fn wide_corpus_lp_modes_agree_at_known_width() {
-    let ctrl = Control::unlimited();
-    let per_pair = LogK::sequential().with_lambda_p_mode(LpMode::Never);
-    let incremental = LogK::sequential().with_lambda_p_mode(LpMode::Always);
-    let auto = LogK::sequential(); // LpMode::Auto by default
+    let filtered = LogK::sequential();
     let unfiltered = LogK::sequential().with_lambda_p_prefilter(false);
     let mut checked = 0usize;
     for inst in wide_corpus(WideConfig::default()) {
         let Some(k) = inst.width_upper else { continue };
-        let (dp, sp) = per_pair.search_with_stats(&inst.hg, k, &ctrl).unwrap();
-        let (di, si) = incremental.search_with_stats(&inst.hg, k, &ctrl).unwrap();
-        let da = auto.search_with_stats(&inst.hg, k, &ctrl).unwrap().0;
-        let b = unfiltered
-            .search_with_stats(&inst.hg, k, &ctrl)
-            .unwrap()
-            .0
-            .is_some();
+        let (df, sf) = filtered.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let (du, su) = unfiltered.search_with_stats(&inst.hg, k, &ctrl).unwrap();
         assert!(
-            dp.is_some() && b,
+            df.is_some() && du.is_some(),
             "{} must decompose at its certified width {k}",
             inst.name
         );
-        assert_eq!(dp.is_some(), di.is_some(), "{}", inst.name);
-        assert_eq!(dp.is_some(), da.is_some(), "{}", inst.name);
-        assert_eq!(
-            sp.separations, si.separations,
-            "{}: incremental mode changed the separation count",
-            inst.name
+        assert_eq!(su.lambda_p_prefiltered, 0, "{}", inst.name);
+        assert!(
+            sf.separations <= su.separations,
+            "{}: pre-filter added separations ({} > {})",
+            inst.name,
+            sf.separations,
+            su.separations
         );
-        assert_eq!(
-            sp.lambda_p_prefiltered, si.lambda_p_prefiltered,
-            "{}: incremental mode changed the pre-filter cut",
-            inst.name
-        );
-        for d in [&dp, &di, &da].into_iter().flatten() {
+        for d in [&df, &du].into_iter().flatten() {
             validate_hd_width(&inst.hg, d, k)
                 .unwrap_or_else(|e| panic!("invalid witness on {}: {e:?}", inst.name));
         }
         checked += 1;
     }
     assert!(checked >= 5, "wide corpus slice unexpectedly small");
-}
-
-/// Reporter behind the BENCHMARKS.md λp phase-3 verdict: wall-clock per
-/// λp mode on every fast wide instance. Run with
-/// `cargo test --release --test lp_prefilter_differential -- --ignored --nocapture`.
-#[test]
-#[ignore = "reporter for BENCHMARKS.md, not an assertion"]
-fn report_lp_mode_timings_on_wide_corpus() {
-    let ctrl = Control::unlimited();
-    let modes = [("per_pair", LpMode::Never), ("incremental", LpMode::Always)];
-    println!(
-        "{:<22} {:>2} {:>6} | {:<12} {:>10}",
-        "instance", "k", "words", "mode", "median"
-    );
-    for inst in wide_corpus(WideConfig::default()) {
-        let Some(k) = inst.width_upper else { continue };
-        let words = inst.hg.num_vertices().div_ceil(64);
-        for (label, mode) in modes {
-            let solver = LogK::sequential().with_lambda_p_mode(mode);
-            solver.search_with_stats(&inst.hg, k, &ctrl).unwrap(); // warm-up
-            let mut times: Vec<std::time::Duration> = (0..5)
-                .map(|_| {
-                    let t = std::time::Instant::now();
-                    std::hint::black_box(
-                        solver
-                            .search_with_stats(&inst.hg, k, &ctrl)
-                            .unwrap()
-                            .0
-                            .is_some(),
-                    );
-                    t.elapsed()
-                })
-                .collect();
-            times.sort();
-            println!(
-                "{:<22} {:>2} {:>6} | {:<12} {:>10.2?}",
-                inst.name, k, words, label, times[2]
-            );
-        }
-    }
 }
 
 fn arb_hypergraph() -> impl Strategy<Value = hypergraph::Hypergraph> {
@@ -309,42 +191,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Arbitrary small hypergraphs: pre-filtered (sequential and
-    /// parallel, per-pair and incremental) and unfiltered decisions
-    /// coincide for every k, witnesses validate, and the two filtering
-    /// modes run counter-identically.
+    /// parallel) and unfiltered decisions coincide for every k, and
+    /// witnesses validate.
     #[test]
     fn prefiltered_decisions_match_unfiltered(hg in arb_hypergraph()) {
         let ctrl = Control::unlimited();
         let filtered_seq = LogK::sequential();
         let filtered_par = LogK::parallel(2);
-        let filtered_inc = LogK::sequential().with_lambda_p_mode(LpMode::Always);
-        let filtered_inc_par = LogK::parallel(2).with_lambda_p_mode(LpMode::Always);
         let unfiltered = LogK::sequential().with_lambda_p_prefilter(false);
         for k in 1..=3usize {
-            let (a, sa) = filtered_seq.search_with_stats(&hg, k, &ctrl).unwrap();
+            let a = filtered_seq.search_with_stats(&hg, k, &ctrl).unwrap().0;
             let p = filtered_par.search_with_stats(&hg, k, &ctrl).unwrap().0;
-            let (i, si) = filtered_inc.search_with_stats(&hg, k, &ctrl).unwrap();
-            let ip = filtered_inc_par.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             let b = unfiltered.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             prop_assert_eq!(a.is_some(), b, "sequential vs unfiltered at k={}", k);
             prop_assert_eq!(p.is_some(), b, "parallel vs unfiltered at k={}", k);
-            prop_assert_eq!(i.is_some(), b, "incremental vs unfiltered at k={}", k);
-            prop_assert_eq!(ip, b, "parallel incremental vs unfiltered at k={}", k);
-            prop_assert_eq!(
-                sa.separations, si.separations,
-                "incremental mode changed separations at k={}", k
-            );
-            prop_assert_eq!(
-                sa.lambda_p_prefiltered, si.lambda_p_prefiltered,
-                "incremental mode changed the pre-filter cut at k={}", k
-            );
             if let Some(d) = a {
                 prop_assert!(validate_hd_width(&hg, &d, k).is_ok());
             }
             if let Some(d) = p {
-                prop_assert!(validate_hd_width(&hg, &d, k).is_ok());
-            }
-            if let Some(d) = i {
                 prop_assert!(validate_hd_width(&hg, &d, k).is_ok());
             }
         }
