@@ -258,31 +258,15 @@ fn bench_par_scaling(c: &mut Criterion) {
             bch.iter(|| black_box(search(&solver, black_box(&grid), 3)))
         });
     }
-    // Below-children parallelism probe: a disjoint union splits into one
-    // `[λc]`-component per part at the root, so every root candidate is a
-    // sibling fan-out opportunity — the second parallel surface the
-    // fork/merge arena added to `try_as_root`/`finish_pair`. Measured at
-    // 1 and 2 workers with splitting on (default grain) and pinned off
-    // (`with_child_split(usize::MAX, 0)` — λc race only), plus an
-    // aggressive grain (`(2, 0)`, no work floor) for grain sensitivity.
-    // The t1 on/off pair is the sequential-overhead guard: at 1 worker
-    // the split gate keeps the fast path, so on ≈ off is the claim.
+    // A disjoint union of two 4×4 grids: the empty root connector splits
+    // every root candidate into one `[λc]`-component per grid. The
+    // components recurse in order; only the λc race runs in parallel.
     let multi = families::disjoint_union(&[families::grid(4, 4), families::grid(4, 4)]);
     for threads in [1usize, 2] {
-        for (grain, min_components, min_size) in [
-            (
-                "children_on",
-                logk::DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
-                logk::DEFAULT_CHILD_SPLIT_MIN_SIZE,
-            ),
-            ("children_off", usize::MAX, 0),
-            ("children_eager", 2, 0),
-        ] {
-            let solver = LogK::parallel(threads).with_child_split(min_components, min_size);
-            g.bench_function(format!("dgrid4x4x2_k3_t{threads}_{grain}"), |bch| {
-                bch.iter(|| black_box(search(&solver, black_box(&multi), 3)))
-            });
-        }
+        let solver = LogK::parallel(threads);
+        g.bench_function(format!("dgrid4x4x2_k3_t{threads}"), |bch| {
+            bch.iter(|| black_box(search(&solver, black_box(&multi), 3)))
+        });
     }
     g.finish();
 }

@@ -40,12 +40,14 @@
 //! splitting of the lead range. Idle workers steal the published halves,
 //! so the wildly uneven per-lead subtree costs balance themselves, and
 //! sibling branches are pruned (early-cancelled at every split and poll
-//! point) as soon as one candidate succeeds. So `LogK::sequential()` and
-//! a 1-worker `LogK::parallel(1)` run the same search. Special
-//! edges are arena-allocated with
-//! stack discipline: a `Decomp` call restores the arena to its entry length
-//! before returning, so a returned fragment only ever references special
-//! edges of its own subproblem. Before branching, the arena is *sealed*
+//! point) as soon as one candidate succeeds. This race is the engine's
+//! only parallelism: the `[λc]`-components below a candidate always
+//! recurse in order. So `LogK::sequential()` and a 1-worker
+//! `LogK::parallel(1)` run the same search. Special edges are
+//! arena-allocated with stack discipline: a `Decomp` call restores the
+//! arena to its entry length before returning, so a returned fragment
+//! only ever references special edges of its own subproblem. Before
+//! branching, the arena is *sealed*
 //! ([`SpecialArena::seal`]): the shared prefix moves behind an `Arc` and
 //! each branch's "clone" is a reference-count bump instead of a deep copy.
 
@@ -55,7 +57,7 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use decomp::{rebase_fragment, Control, Decomposition, Fragment, Interrupted};
+use decomp::{Control, Decomposition, Fragment, Interrupted};
 use detk::{DetKDecomp, DetkScratch, MemoSnapshot, SharedMemo};
 use hypergraph::subsets::{for_each_subset_in, for_each_subset_with_lead_in, subset_space_size};
 use hypergraph::{
@@ -96,17 +98,10 @@ pub const DEFAULT_POS_CACHE_MAX_FRAG: usize = 2;
 /// by Theorem 4.2) per branch, not by every idle pooled scratch.
 const LP_MEMO_BYTES: usize = 4 << 20;
 
-/// Default component-count floor for sibling-children parallelism
-/// ([`EngineConfig::child_split_min_components`]): with fewer than two
-/// siblings there is nothing to overlap.
-pub const DEFAULT_CHILD_SPLIT_MIN_COMPONENTS: usize = 2;
-
-/// Default work floor for sibling-children parallelism
-/// ([`EngineConfig::child_split_min_size`]): sibling subproblems summing
-/// to fewer members than this are solved inline — near the leaves the
-/// per-branch tax (arena fork, scratch checkout, scope job) exceeds the
-/// work it would overlap.
-pub const DEFAULT_CHILD_SPLIT_MIN_SIZE: usize = 8;
+/// Recursion depths below which a parallel engine
+/// ([`EngineConfig::parallel`]) races its λc leads across the pool.
+/// Deeper levels walk their leads inline.
+pub const PARALLEL_DEPTH: usize = 2;
 
 /// Complexity metric steering the hybrid handoff to `det-k-decomp`
 /// (Appendix D.2).
@@ -165,18 +160,11 @@ pub struct HybridConfig {
 pub struct EngineConfig {
     /// Width bound `k ≥ 1`.
     pub k: usize,
-    /// Recursion depths `< parallel_depth` race the λc leads across the
-    /// current rayon pool when it has more than one worker; `0` disables
-    /// parallelism.
-    pub parallel_depth: usize,
+    /// Race the λc leads across the current rayon pool at recursion
+    /// depths `< PARALLEL_DEPTH`, when the pool has more than one worker.
+    pub parallel: bool,
     /// Hybrid handoff policy, if any.
     pub hybrid: Option<HybridConfig>,
-    /// Also try the parent/child pair search for a λc whose `⋃λc` covers
-    /// `Conn` after its root-mode attempt failed. Algorithm 2 as printed
-    /// does not (`continue ChildLoop`); differential testing against
-    /// Algorithm 1 backs the printed behaviour, and this flag exists to
-    /// keep that claim continuously tested.
-    pub root_fallthrough: bool,
     /// Ablation: restrict the λp search space to edges intersecting `⋃λc`
     /// (the "speeding up the parent search" optimisation, Theorem C.1).
     /// On by default; turning it off only enlarges the search space.
@@ -201,18 +189,6 @@ pub struct EngineConfig {
     /// `usize::MAX` stores every found fragment, `0` disables positive
     /// inserts. See [`DEFAULT_POS_CACHE_MAX_FRAG`].
     pub pos_cache_max_frag: usize,
-    /// Sibling-children parallelism grain, component-count floor: the
-    /// `try_as_root`/`finish_pair` child loops probe their sibling
-    /// subproblems concurrently only when there are at least this many of
-    /// them (and `depth < parallel_depth`, and the pool has > 1 worker).
-    /// `usize::MAX` disables below-children parallelism without touching
-    /// the λc race.
-    pub child_split_min_components: usize,
-    /// Sibling-children parallelism grain, work floor: child loops whose
-    /// sibling subproblems sum to fewer than this many members
-    /// (`|E'| + |Sp|`) stay sequential — spawning scope jobs for trivial
-    /// children costs more than solving them inline.
-    pub child_split_min_size: usize,
 }
 
 impl EngineConfig {
@@ -220,17 +196,14 @@ impl EngineConfig {
     pub fn sequential(k: usize) -> Self {
         EngineConfig {
             k,
-            parallel_depth: 0,
+            parallel: false,
             hybrid: None,
-            root_fallthrough: false,
             restrict_parent_search: true,
             use_allowed_edges: true,
             cache_bytes: DEFAULT_CACHE_BYTES,
             detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             lambda_p_prefilter: true,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
-            child_split_min_components: DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
-            child_split_min_size: DEFAULT_CHILD_SPLIT_MIN_SIZE,
         }
     }
 }
@@ -337,9 +310,9 @@ decomp::counters! {
         /// the fine-grained allocation meter behind the zero-steady-state
         /// claim. Collected from each scratch stack as it retires.
         scratch_grow_events: u64 = sum,
-        /// Arena checkpoints handed to parallel branches. Each is an `Arc`
-        /// bump over the sealed prefix, not a deep copy (0 for sequential
-        /// engines and 1-worker pools).
+        /// Arena checkpoints handed to the leads of a λc race. Each is an
+        /// `Arc` bump over the sealed prefix, not a deep copy (0 for
+        /// sequential engines and 1-worker pools).
         arena_branch_clones: u64 = sum,
         /// Hybrid handoffs to `det-k-decomp`.
         detk_handoffs: u64 = sum,
@@ -361,22 +334,10 @@ decomp::counters! {
         /// `[χc]`-splits of `comp_down`) — the denominator the pre-filter
         /// exists to shrink.
         separations: u64 = sum,
-        /// Sibling-child loops (`try_as_root`/`finish_pair`) that fanned
-        /// their components out on the pool instead of recursing
-        /// sequentially — 0 for sequential engines, 1-worker pools, and
-        /// loops below the
-        /// [`LogK::with_child_split`](crate::LogK::with_child_split) grain
-        /// floors.
+        /// Always 0; kept for the benchmark reader.
         child_splits: u64 = sum,
-        /// Sibling child recursions cancelled by a fail-fast join: a
-        /// sibling's definitive rejection (or an interruption, or an outer
-        /// race win) pruned them before they produced a verdict.
+        /// Always 0; kept for the benchmark reader.
         child_cancels: u64 = sum,
-        /// Child-branch fragments folded back under the parent arena at a
-        /// fork/merge join (each is one `decomp::rebase_fragment` pass;
-        /// under the engines' stack discipline the pass rewrites no ids —
-        /// it is the soundness backstop of the fork/merge protocol).
-        arena_rebases: u64 = sum,
     }
 }
 
@@ -568,8 +529,8 @@ impl LevelScratch {
 
 /// Warm scratch state for one parallel branch: the branch's level-0
 /// bundle plus its stack for deeper levels. Pooled on the engine so that
-/// racing many leads (and many parallel subproblems) reuses warm buffers
-/// instead of re-allocating per branch.
+/// racing many leads reuses warm buffers instead of re-allocating per
+/// branch.
 #[derive(Default)]
 struct BranchScratch {
     stack: ScratchStack,
@@ -752,7 +713,7 @@ pub struct LogKEngine<'h> {
     /// rayon branch (previously each handoff rebuilt a private table);
     /// `Arc`-held for the same cross-solve sharing as `cache`.
     detk_memo: Arc<SharedMemo>,
-    /// Warm scratch bundles recycled across parallel branches.
+    /// Warm scratch bundles recycled across the leads of λc races.
     branch_pool: std::sync::Mutex<Vec<BranchScratch>>,
     /// Warm `det-k-decomp` scratch stacks recycled across hybrid
     /// handoffs (and rayon branches), so handoffs stop paying cold
@@ -765,10 +726,6 @@ pub struct LogKEngine<'h> {
 
 type FragResult = Result<Option<Fragment>, Stop>;
 type Found = ControlFlow<Result<Fragment, Stop>>;
-/// Outcome slot of one parallel sibling branch: the child fragment paired
-/// with the branch arena it references (kept alive for the merge/rebase
-/// pass at the join), or the branch's stop.
-type SiblingResult = Result<Option<(Fragment, SpecialArena)>, Stop>;
 
 impl<'h> LogKEngine<'h> {
     /// Creates an engine over `hg` with the given configuration.
@@ -1025,10 +982,10 @@ impl<'h> LogKEngine<'h> {
     }
 
     /// `ChildLoop` (Algorithm 2, lines 11–44): enumerate λc candidates
-    /// lead by lead ([`Self::walk_lead`]). Inside the racing depths, with
-    /// more than one candidate and more than one pool worker, the leads
-    /// race across the pool ([`Self::child_loop_parallel`]) — the same
-    /// gate shape as `split_siblings`. Otherwise they run in order on
+    /// lead by lead ([`Self::walk_lead`]). In a parallel engine, at depths
+    /// below [`PARALLEL_DEPTH`], with more than one candidate and more
+    /// than one pool worker, the leads race across the pool
+    /// ([`Self::child_loop_parallel`]). Otherwise they run in order on
     /// this level's own arena and scratch: no seal, no branch arena, no
     /// pooled branch scratch, and one λp memo shared by every lead.
     #[allow(clippy::too_many_arguments)]
@@ -1073,7 +1030,8 @@ impl<'h> LogKEngine<'h> {
             cands,
         };
         let checkpoint = arena.len();
-        let result = if depth < self.cfg.parallel_depth
+        let result = if self.cfg.parallel
+            && depth < PARALLEL_DEPTH
             && cands.len() > 1
             && rayon::current_num_threads() > 1
         {
@@ -1331,11 +1289,8 @@ impl<'h> LogKEngine<'h> {
             ) {
                 Ok(Some(frag)) => return ControlFlow::Break(Ok(frag)),
                 Ok(None) => {
-                    if !self.cfg.root_fallthrough {
-                        meters.reject_c();
-                        return ControlFlow::Continue(()); // line 20
-                    }
-                    // fall through to the pair search below
+                    meters.reject_c();
+                    return ControlFlow::Continue(()); // line 20
                 }
                 Err(e) => return ControlFlow::Break(Err(e)),
             }
@@ -1438,8 +1393,7 @@ impl<'h> LogKEngine<'h> {
     ) -> FragResult {
         // Line 16: χc = ⋃λc ∩ V(H'), one fused pass.
         down.meters.bump_grow(chi_root.assign_and(union_c, vsub));
-        // Lines 17–20: solve the [λc]-components, concurrently when the
-        // grain gate passes (see `solve_siblings`).
+        // Lines 17–20: solve the [λc]-components.
         let Some(children) = self.solve_siblings(
             arena,
             allowed,
@@ -1665,8 +1619,7 @@ impl<'h> LogKEngine<'h> {
             .iter()
             .all(|c| 2 * c.size() <= sub.size()));
 
-        // Lines 34–37: recurse below, concurrently when the grain gate
-        // passes (see `solve_siblings`).
+        // Lines 34–37: recurse below.
         let Some(below) = self.solve_siblings(
             arena,
             allowed,
@@ -1736,14 +1689,9 @@ impl<'h> LogKEngine<'h> {
     /// solves each component of `comps` as its own subproblem with
     /// connector `V(comp) ∩ chi`, returning the child fragments in
     /// component order — or `None` as soon as any child is unsolvable,
-    /// which rejects the enclosing candidate.
-    ///
-    /// The siblings are independent subproblems (they share no vertices
-    /// outside the separator), so when the grain gate passes they fan out
-    /// on the pool; otherwise — 1-worker pools, sequential engines, depths
-    /// past the racing frontier, or loops below the grain floors — they
-    /// recurse in place on the caller's arena and scratch, byte-for-byte
-    /// the pre-fork/merge loop.
+    /// which rejects the enclosing candidate. The siblings recurse in
+    /// order on the caller's arena and scratch; the λc race
+    /// ([`Self::child_loop_parallel`]) is the engine's only parallelism.
     #[allow(clippy::too_many_arguments)]
     fn solve_siblings(
         &self,
@@ -1757,9 +1705,6 @@ impl<'h> LogKEngine<'h> {
         conn_child: &mut VertexSet,
         stack: &mut ScratchStack,
     ) -> Result<Option<Vec<Fragment>>, Stop> {
-        if self.split_siblings(depth, comps) {
-            return self.solve_siblings_parallel(arena, allowed, depth, prune, chi, comps);
-        }
         let mut children = Vec::with_capacity(comps.len());
         for y in comps {
             // Line 18/35: Conn_y = V(y) ∩ χc.
@@ -1779,154 +1724,5 @@ impl<'h> LogKEngine<'h> {
             }
         }
         Ok(Some(children))
-    }
-
-    /// The sibling-children grain gate: still inside the racing depths,
-    /// enough siblings, enough aggregate work, and a pool that can
-    /// actually overlap them.
-    fn split_siblings(&self, depth: usize, comps: &[Component]) -> bool {
-        depth < self.cfg.parallel_depth
-            && comps.len() >= self.cfg.child_split_min_components
-            && comps.iter().map(|c| c.size()).sum::<usize>() >= self.cfg.child_split_min_size
-            && rayon::current_num_threads() > 1
-    }
-
-    /// Probes sibling subproblems concurrently under the pool's scope.
-    ///
-    /// Each sibling runs on a [`SpecialArena::fork`] of the parent arena
-    /// (Arc-shared sealed prefix, private tail) with branch scratch drawn
-    /// from the engine pool, under a fail-fast [`Prune`] link: the first
-    /// definitive `None` (or external interruption) cancels the remaining
-    /// siblings at their next poll. Verdict folding at the join, in
-    /// precedence order:
-    ///
-    /// * any child `Ok(None)` → `Ok(None)` — that child exhaustively
-    ///   rejected its own subspace, so the enclosing candidate is rejected
-    ///   no matter what the cancelled siblings would have said;
-    /// * else any external interruption → propagated;
-    /// * else any pruned sibling → `Err(Stop::Pruned)` — only an enclosing
-    ///   λc race can have caused it;
-    /// * else all succeeded → each branch fragment is folded back under
-    ///   the parent arena ([`decomp::rebase_fragment`]) and the fragments
-    ///   return in component order.
-    fn solve_siblings_parallel(
-        &self,
-        arena: &mut SpecialArena,
-        allowed: &Arc<EdgeSet>,
-        depth: usize,
-        prune: Option<&Prune<'_>>,
-        chi: &VertexSet,
-        comps: &[Component],
-    ) -> Result<Option<Vec<Fragment>>, Stop> {
-        decomp::faults::hit_ctrl("logk/engine/child_split", self.ctrl);
-        self.stats.child_splits.fetch_add(1, Ordering::Relaxed);
-        let checkpoint = arena.len();
-        // One fork per sibling, taken up front: the first seals the
-        // parent's tail into the shared prefix, the rest are refcount
-        // bumps.
-        let forks: Vec<SpecialArena> = comps.iter().map(|_| arena.fork()).collect();
-        self.stats
-            .arena_branch_clones
-            .fetch_add(comps.len() as u64, Ordering::Relaxed);
-        let failed = AtomicBool::new(false);
-        let join = Prune {
-            flag: &failed,
-            parent: prune,
-        };
-        let slots: Vec<std::sync::Mutex<Option<SiblingResult>>> =
-            comps.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        rayon::scope(|s| {
-            for ((slot, comp), barena) in slots.iter().zip(comps).zip(forks) {
-                let join = &join;
-                s.spawn(move |_| {
-                    let res = self.solve_sibling_branch(barena, comp, chi, allowed, depth, join);
-                    if matches!(res, Ok(None) | Err(Stop::External(_))) {
-                        // Fail-fast: this verdict decides the join — stop
-                        // the siblings at their next poll.
-                        join.flag.store(true, Ordering::Relaxed);
-                    }
-                    *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-                });
-            }
-        });
-        decomp::faults::hit_ctrl("logk/engine/child_join", self.ctrl);
-        let mut children = Vec::with_capacity(comps.len());
-        let mut rejected = false;
-        let mut external: Option<Stop> = None;
-        let mut cancelled = 0u64;
-        for slot in slots {
-            match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(Ok(Some(child))) => children.push(child),
-                Some(Ok(None)) => rejected = true,
-                Some(Err(e @ Stop::External(_))) => external = external.or(Some(e)),
-                Some(Err(Stop::Pruned)) | None => cancelled += 1,
-            }
-        }
-        self.stats
-            .child_cancels
-            .fetch_add(cancelled, Ordering::Relaxed);
-        if rejected {
-            // Sound despite the cancelled siblings: the rejecting child
-            // exhausted its own subspace, and one unsolvable child rejects
-            // the enclosing candidate outright.
-            return Ok(None);
-        }
-        if let Some(e) = external {
-            return Err(e);
-        }
-        if cancelled > 0 {
-            // No sibling failed locally, so an enclosing race pruned them.
-            debug_assert!(prune.is_some_and(|p| p.is_set()));
-            return Err(Stop::Pruned);
-        }
-        // All children succeeded: fold each branch's fragment back under
-        // the parent arena before the caller stitches it. Under the stack
-        // discipline this is a verification walk (children restore their
-        // arenas before returning, so fragments only reference shared
-        // pre-fork ids) — see `decomp::rebase_fragment`.
-        let mut out = Vec::with_capacity(children.len());
-        for (mut frag, barena) in children {
-            rebase_fragment(&mut frag, &barena, checkpoint, arena);
-            out.push(frag);
-        }
-        self.stats
-            .arena_rebases
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(Some(out))
-    }
-
-    /// One parallel sibling: checks out branch scratch from the engine
-    /// pool, computes the child connector `V(comp) ∩ chi` and recurses on
-    /// the forked arena. A successful child's fragment returns together
-    /// with its branch arena so the join can rebase it under the parent.
-    fn solve_sibling_branch(
-        &self,
-        mut barena: SpecialArena,
-        comp: &Component,
-        chi: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-        depth: usize,
-        join: &Prune<'_>,
-    ) -> SiblingResult {
-        decomp::faults::hit_ctrl("logk/engine/child_branch", self.ctrl);
-        // Fail-fast before any work: a sibling (or an outer race) may have
-        // decided the join while this branch sat on a deque.
-        poll(self.ctrl, Some(join))?;
-        let result = self.with_branch_scratch(|stack, lvl| {
-            // Line 18/35 on branch scratch: Conn_y = V(y) ∩ χc.
-            lvl.meters
-                .bump_grow(lvl.conn_child.copy_from(&comp.vertices));
-            lvl.conn_child.intersect_with(chi);
-            self.decomp(
-                &mut barena,
-                comp.as_subproblem(),
-                &lvl.conn_child,
-                allowed,
-                depth + 1,
-                Some(join),
-                stack,
-            )
-        });
-        result.map(|o| o.map(|frag| (frag, barena)))
     }
 }

@@ -27,8 +27,7 @@ use rayon::ThreadPool;
 use crate::cache::{CacheSnapshot, SubproblemCache};
 use crate::engine::{
     EngineConfig, HybridConfig, HybridMetric, LogKEngine, SolveStats, DEFAULT_CACHE_BYTES,
-    DEFAULT_CHILD_SPLIT_MIN_COMPONENTS, DEFAULT_CHILD_SPLIT_MIN_SIZE, DEFAULT_DETK_CACHE_CAP,
-    DEFAULT_POS_CACHE_MAX_FRAG,
+    DEFAULT_DETK_CACHE_CAP, DEFAULT_POS_CACHE_MAX_FRAG,
 };
 use detk::{MemoSnapshot, SharedMemo};
 
@@ -152,7 +151,8 @@ pub enum Variant {
     Basic,
     /// Algorithm 2, sequential.
     Optimized,
-    /// Algorithm 2 with the separator search raced across a rayon pool.
+    /// Algorithm 2 with the λc leads raced across a rayon pool at
+    /// recursion depths below [`PARALLEL_DEPTH`](crate::engine::PARALLEL_DEPTH).
     Parallel,
 }
 
@@ -169,12 +169,8 @@ pub struct LogK {
     /// Explicit pool attached by [`Self::with_pool`]; takes precedence
     /// over `threads` for [`Variant::Parallel`] solves.
     pub pool: Option<Arc<ThreadPool>>,
-    /// Recursion depths that race their separator search in parallel.
-    pub parallel_depth: usize,
     /// Hybrid handoff to `det-k-decomp` (Appendix D.2), if any.
     pub hybrid: Option<HybridConfig>,
-    /// See [`EngineConfig::root_fallthrough`].
-    pub root_fallthrough: bool,
     /// Byte budget of the subproblem cache; `0` disables it.
     /// See [`EngineConfig::cache_bytes`].
     pub cache_bytes: usize,
@@ -187,13 +183,6 @@ pub struct LogK {
     /// Largest fragment (node count) stored by a positive cache insert.
     /// See [`EngineConfig::pos_cache_max_frag`].
     pub pos_cache_max_frag: usize,
-    /// Sibling-children parallelism grain, component-count floor.
-    /// See [`EngineConfig::child_split_min_components`]; `usize::MAX`
-    /// disables below-children parallelism without touching the λc race.
-    pub child_split_min_components: usize,
-    /// Sibling-children parallelism grain, aggregate-work floor.
-    /// See [`EngineConfig::child_split_min_size`].
-    pub child_split_min_size: usize,
     /// Cross-solve memo tables attached by [`Self::with_shared_tables`];
     /// consulted only for solves they apply to (matching `k` and, when
     /// instance-bound, matching hypergraph).
@@ -207,15 +196,11 @@ impl LogK {
             variant: Variant::Optimized,
             threads: None,
             pool: None,
-            parallel_depth: 0,
             hybrid: None,
-            root_fallthrough: false,
             cache_bytes: DEFAULT_CACHE_BYTES,
             detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             lambda_p_prefilter: true,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
-            child_split_min_components: DEFAULT_CHILD_SPLIT_MIN_COMPONENTS,
-            child_split_min_size: DEFAULT_CHILD_SPLIT_MIN_SIZE,
             shared_tables: None,
         }
     }
@@ -233,7 +218,6 @@ impl LogK {
         LogK {
             variant: Variant::Parallel,
             threads: Some(threads),
-            parallel_depth: 2,
             ..Self::sequential()
         }
     }
@@ -295,17 +279,6 @@ impl LogK {
         self
     }
 
-    /// Replaces the sibling-children parallelism grain: child loops fan
-    /// their component subproblems out on the pool only with at least
-    /// `min_components` siblings summing to at least `min_size` members.
-    /// `(usize::MAX, _)` pins the child loops sequential without touching
-    /// the λc race (the seq≡par differential suite compares both modes).
-    pub fn with_child_split(mut self, min_components: usize, min_size: usize) -> Self {
-        self.child_split_min_components = min_components;
-        self.child_split_min_size = min_size;
-        self
-    }
-
     /// Attaches cross-solve memo tables: solves the pair applies to
     /// (matching width and, for instance-bound pairs, matching
     /// hypergraph — see [`SharedTables`]) memoise into it instead of a
@@ -341,19 +314,12 @@ impl LogK {
 
     fn engine_config(&self, k: usize) -> EngineConfig {
         EngineConfig {
-            parallel_depth: if matches!(self.variant, Variant::Parallel) {
-                self.parallel_depth
-            } else {
-                0
-            },
+            parallel: matches!(self.variant, Variant::Parallel),
             hybrid: self.hybrid,
-            root_fallthrough: self.root_fallthrough,
             cache_bytes: self.cache_bytes,
             detk_cache_cap: self.detk_cache_cap,
             lambda_p_prefilter: self.lambda_p_prefilter,
             pos_cache_max_frag: self.pos_cache_max_frag,
-            child_split_min_components: self.child_split_min_components,
-            child_split_min_size: self.child_split_min_size,
             ..EngineConfig::sequential(k)
         }
     }

@@ -97,27 +97,6 @@ fn optimized_matches_oracle_on_random_instances() {
 }
 
 #[test]
-fn root_fallthrough_agrees_with_printed_algorithm() {
-    // Differential evidence for the Algorithm 2 pseudo-code: enabling the
-    // extra pair-search after a failed root attempt must not change any
-    // decision (it could only mask incompleteness of the printed variant).
-    let ctrl = Control::unlimited();
-    let printed = LogK::sequential();
-    let fallthrough = LogK {
-        root_fallthrough: true,
-        ..LogK::sequential()
-    };
-    for seed in 0..25u64 {
-        let hg = random_hypergraph(seed.wrapping_add(100), 9, 8, 4);
-        for k in 1..=2usize {
-            let a = search(&printed, &hg, k, &ctrl).is_some();
-            let b = search(&fallthrough, &hg, k, &ctrl).is_some();
-            assert_eq!(a, b, "seed={seed} k={k}");
-        }
-    }
-}
-
-#[test]
 fn detk_agrees_with_logk() {
     let ctrl = Control::unlimited();
     let fast = LogK::sequential();

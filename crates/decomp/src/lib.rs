@@ -8,8 +8,8 @@
 //!   stitching operations used by `log-k-decomp`'s soundness construction;
 //! * [`portable`] — arena-independent fragments (special leaves resolved
 //!   to vertex sets), the storable form shared by the memoisation caches;
-//! * [`rewrite`] — the set-preserving special-id rewrite shared by cache
-//!   re-interning and the fork/merge arena rebase;
+//! * [`rewrite`] — the set-preserving special-id claims behind cache
+//!   re-interning;
 //! * [`striped`] — the lock-striped, borrowed-key table core both
 //!   memoisation caches (the engine's subproblem cache and det-k's
 //!   shared memo) instantiate, with pluggable retention policies;
@@ -35,7 +35,7 @@ pub use control::{Control, Interrupted};
 pub use export::{to_dtd_text, to_gml};
 pub use fragment::{FragLabel, FragNode, Fragment};
 pub use portable::{specials_multiset_match, PortableFragment, PortableLabel, PortableNode};
-pub use rewrite::{rebase_fragment, SpecialClaims};
+pub use rewrite::SpecialClaims;
 pub use striped::{ClockEviction, EntryCap, InsertOutcome, Retention, StripedKey, StripedTable};
 pub use tree::{Decomposition, Node, NodeId};
 pub use validate::{

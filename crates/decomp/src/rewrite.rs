@@ -1,28 +1,17 @@
 //! Set-preserving special-id rewrites.
 //!
-//! Two soundness-critical places rewrite the special-edge ids of an
-//! HD-fragment while preserving the *vertex sets* behind them:
-//!
-//! * **cache re-interning** — [`PortableFragment::instantiate`] rebuilds a
-//!   memoised fragment for a new subproblem by pairing each stored leaf set
-//!   with a distinct caller id resolving to an equal set;
-//! * **fork/merge rebasing** — [`rebase_fragment`] folds a fragment built
-//!   by a forked-arena sibling branch back under the parent arena, giving
-//!   any special the branch created above the fork point a fresh parent id
-//!   with the same set.
-//!
-//! Both rely on the same bijective multiset matching, centralised here as
-//! [`SpecialClaims`] so the two copies cannot drift: the rewrite is sound
-//! because extended-HD validity (Definition 3.3) and the stitching
-//! contract only depend on the vertex sets of special edges — two specials
-//! with equal sets are interchangeable interfaces, so any set-preserving
-//! bijection between old leaves and new ids yields a valid fragment.
+//! [`PortableFragment::instantiate`] rebuilds a memoised fragment for a
+//! new subproblem by pairing each stored leaf set with a distinct caller
+//! id resolving to an equal set. The bijective multiset matching it needs
+//! lives here as [`SpecialClaims`]: the rewrite is sound because
+//! extended-HD validity (Definition 3.3) and the stitching contract only
+//! depend on the vertex sets of special edges — two specials with equal
+//! sets are interchangeable interfaces, so any set-preserving bijection
+//! between old leaves and new ids yields a valid fragment.
 //!
 //! [`PortableFragment::instantiate`]: crate::PortableFragment::instantiate
 
 use hypergraph::{SpecialArena, SpecialId, VertexSet};
-
-use crate::fragment::{FragLabel, Fragment};
 
 /// Bijective, set-preserving claims of special ids.
 ///
@@ -66,74 +55,12 @@ impl<'a> SpecialClaims<'a> {
     pub fn claims(&self) -> u64 {
         self.claims
     }
-
-    /// Whether every candidate id has been claimed.
-    pub fn exhausted(&self) -> bool {
-        self.used.iter().all(|&u| u)
-    }
-}
-
-/// Folds a sibling branch's fragment back under the parent arena.
-///
-/// `frag` was produced against `branch`, a fork of the parent taken when
-/// the parent held `checkpoint` entries: ids `0..checkpoint` resolve
-/// identically in both arenas and pass through untouched, while any
-/// special leaf at or above the fork point references a set the branch
-/// pushed privately — those sets are re-pushed under `parent` and the
-/// leaves rewritten to the fresh parent ids (set-preserving via
-/// [`SpecialClaims`]). Returns the number of leaf ids rewritten.
-///
-/// Under the engines' stack discipline a child call restores its arena to
-/// the entry length before returning, so returned fragments only reference
-/// pre-fork ids and this pass degenerates to a verification walk returning
-/// zero; it exists so the fork/merge join is sound *by construction* — a
-/// branch that does hand back fresh specials gets them rebased instead of
-/// dangling into the parent's id space.
-pub fn rebase_fragment(
-    frag: &mut Fragment,
-    branch: &SpecialArena,
-    checkpoint: usize,
-    parent: &mut SpecialArena,
-) -> u64 {
-    let fresh: Vec<usize> = frag
-        .nodes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, n)| match n.label {
-            FragLabel::Special(s) if s.0 as usize >= checkpoint => Some(i),
-            _ => None,
-        })
-        .collect();
-    if fresh.is_empty() {
-        return 0;
-    }
-    let minted: Vec<SpecialId> = fresh
-        .iter()
-        .map(|&i| {
-            let FragLabel::Special(old) = frag.nodes[i].label else {
-                unreachable!("collected above as a special leaf")
-            };
-            parent.push(branch.get(old).clone())
-        })
-        .collect();
-    let mut claims = SpecialClaims::new(parent, &minted);
-    for &i in &fresh {
-        let FragLabel::Special(old) = frag.nodes[i].label else {
-            unreachable!("collected above as a special leaf")
-        };
-        let new = claims
-            .claim(branch.get(old))
-            .expect("an equal set was just pushed per fresh leaf");
-        frag.nodes[i].label = FragLabel::Special(new);
-    }
-    debug_assert!(claims.exhausted());
-    claims.claims()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypergraph::{Edge, Vertex};
+    use hypergraph::Vertex;
 
     fn vset(n: usize, vs: &[u32]) -> VertexSet {
         VertexSet::from_iter(n, vs.iter().map(|&v| Vertex(v)))
@@ -154,69 +81,5 @@ mod tests {
         assert_eq!(claims.claim(&vset(4, &[2])), Some(c));
         assert!(claims.claim(&vset(4, &[3])).is_none());
         assert_eq!(claims.claims(), 3);
-        assert!(claims.exhausted());
-    }
-
-    #[test]
-    fn rebase_passes_prefork_ids_through() {
-        let mut parent = SpecialArena::new();
-        let s = parent.push(vset(6, &[1, 2]));
-        let branch = parent.fork();
-        let checkpoint = parent.len();
-
-        let mut frag = Fragment::leaf(vec![Edge(0)], vset(6, &[0, 1]));
-        frag.attach_under(0, Fragment::special_leaf(s, branch.get(s).clone()));
-        let before = parent.len();
-        assert_eq!(
-            rebase_fragment(&mut frag, &branch, checkpoint, &mut parent),
-            0
-        );
-        assert_eq!(parent.len(), before, "no fresh specials, no pushes");
-        assert_eq!(frag.find_special_leaf(s), Some(1));
-    }
-
-    #[test]
-    fn rebase_mints_parent_ids_for_postfork_leaves() {
-        let mut parent = SpecialArena::new();
-        let pre = parent.push(vset(6, &[0]));
-        let mut branch = parent.fork();
-        let checkpoint = parent.len();
-
-        // The branch creates two fresh specials — one set duplicated —
-        // and hands back a fragment referencing them plus a pre-fork id.
-        let x = branch.push(vset(6, &[1, 2]));
-        let y = branch.push(vset(6, &[1, 2]));
-        let mut frag = Fragment::leaf(vec![Edge(0)], vset(6, &[0, 1]));
-        frag.attach_under(0, Fragment::special_leaf(pre, branch.get(pre).clone()));
-        frag.attach_under(0, Fragment::special_leaf(x, branch.get(x).clone()));
-        frag.attach_under(0, Fragment::special_leaf(y, branch.get(y).clone()));
-
-        // Parent moved on since the fork: branch ids would dangle.
-        parent.push(vset(6, &[5]));
-
-        assert_eq!(
-            rebase_fragment(&mut frag, &branch, checkpoint, &mut parent),
-            2
-        );
-        assert_eq!(parent.len(), 4, "two fresh sets pushed under the parent");
-        assert_eq!(
-            frag.find_special_leaf(pre),
-            Some(1),
-            "pre-fork id untouched"
-        );
-        let rebased: Vec<SpecialId> = frag
-            .nodes
-            .iter()
-            .filter_map(|n| match n.label {
-                FragLabel::Special(s) if s != pre => Some(s),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(rebased.len(), 2);
-        assert_ne!(rebased[0], rebased[1]);
-        for s in rebased {
-            assert!((s.0 as usize) >= 2, "rebased onto fresh parent ids");
-            assert_eq!(*parent.get(s), vset(6, &[1, 2]), "set preserved");
-        }
     }
 }

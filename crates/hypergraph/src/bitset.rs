@@ -438,13 +438,6 @@ impl<I: Ix> TypedBitSet<I> {
         grew
     }
 
-    /// `(self \ other).is_empty()` without allocating — i.e. subset test.
-    /// Kept as an alias mirroring the paper's `(f1 ∩ f2) \ U ≠ ∅` tests.
-    #[inline]
-    pub fn difference_is_empty(&self, other: &Self) -> bool {
-        self.is_subset_of(other)
-    }
-
     /// True iff `(self ∩ other) \ exclude ≠ ∅`. This is the `[U]`-adjacency
     /// test from Definition 3.2 of the paper, fully word-parallel.
     #[inline]

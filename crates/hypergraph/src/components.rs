@@ -49,20 +49,10 @@ impl Component {
         self.sub.size()
     }
 
-    /// Converts the component into a [`Subproblem`] (dropping `vertices`).
-    pub fn into_subproblem(self) -> Subproblem {
-        self.sub
-    }
-
     /// The component's members as a borrowed [`Subproblem`].
     #[inline]
     pub fn as_subproblem(&self) -> &Subproblem {
         &self.sub
-    }
-
-    /// The component's members as an owned [`Subproblem`] clone.
-    pub fn to_subproblem(&self) -> Subproblem {
-        self.sub.clone()
     }
 }
 
@@ -85,11 +75,6 @@ impl Separation {
             covered_edges: EdgeSet::empty(0),
             covered_specials: Vec::new(),
         }
-    }
-
-    /// Size of the largest component, or 0 if there are none.
-    pub fn max_component_size(&self) -> usize {
-        self.components.iter().map(|c| c.size()).max().unwrap_or(0)
     }
 
     /// Index of the unique component with `size > half`, if any.

@@ -103,21 +103,6 @@ impl SpecialArena {
         }
     }
 
-    /// Forks the arena for a parallel sibling branch.
-    ///
-    /// Seals first (so ids `0..len()` live in the `Arc`-shared prefix) and
-    /// returns a branch arena sharing that prefix with an empty private
-    /// tail. The first fork at a given state pays the seal fold; every
-    /// subsequent fork is a reference-count bump. A branch pushes and
-    /// truncates privately above the fork point; ids below it resolve
-    /// identically in parent and branch, which is what lets fragments built
-    /// by a branch be stitched under the parent (after rebasing any id at
-    /// or above the fork point — see `decomp`'s rebase helper).
-    pub fn fork(&mut self) -> SpecialArena {
-        self.seal();
-        self.clone()
-    }
-
     /// Entries physically allocated in the shared prefix, dead or alive.
     ///
     /// Diagnostics for the truncate-into-shared-prefix path: entries
@@ -346,11 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn fork_shares_prefix_and_isolates_tails() {
+    fn sealed_clones_share_prefix_and_isolate_tails() {
         let mut parent = SpecialArena::new();
         let a = parent.push(VertexSet::from_iter(8, [Vertex(0)]));
-        let mut left = parent.fork();
-        let mut right = parent.fork();
+        parent.seal();
+        let mut left = parent.clone();
+        let mut right = parent.clone();
         let checkpoint = parent.len();
         assert_eq!(checkpoint, 1);
 
@@ -362,7 +348,7 @@ mod tests {
         assert_eq!(left.get(a).to_vec(), vec![Vertex(0)]);
         assert_eq!(right.get(a).to_vec(), vec![Vertex(0)]);
 
-        // The parent can keep pushing after the fork without disturbing
+        // The parent can keep pushing after the clones without disturbing
         // the branches (its pushes land in its own tail).
         let p = parent.push(VertexSet::from_iter(8, [Vertex(7)]));
         assert_eq!(p, l);

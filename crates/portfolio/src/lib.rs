@@ -47,9 +47,8 @@
 //!
 //! # Join precedence
 //!
-//! Rejection dominates interruption, mirroring the engines'
-//! `solve_siblings_parallel`: a definitive verdict (either polarity)
-//! arriving *after* other racers timed out still wins — `Err` is
+//! Rejection dominates interruption: a definitive verdict (either
+//! polarity) arriving *after* other racers timed out still wins — `Err` is
 //! returned only when **no** racer reached a definitive verdict. A
 //! panicking racer is contained on its own thread (fault site
 //! `portfolio/engine`); the surviving racers' verdict stands.

@@ -64,9 +64,8 @@ pub struct ServerConfig {
     /// [`LogK::sequential`] on the executor thread. `> 0` solves with
     /// [`LogK::parallel`]`(workers)` on the process-wide pool of that
     /// size ([`logk::shared_pool`]), shared by all executors: the top
-    /// recursion depths race their λc leads and split sibling components
-    /// across its workers. `Race` jobs ignore it; their two racers run
-    /// on threads of their own.
+    /// recursion depths race their λc leads across its workers. `Race`
+    /// jobs ignore it; their two racers run on threads of their own.
     pub workers: usize,
     /// Bounded queue capacity (≥ 1 enforced); a full queue sheds with
     /// [`Rejected::Overloaded`] instead of buffering unboundedly.

@@ -275,7 +275,7 @@ pub fn overlap_heavy(seed: u64, n: u32, m: u32, a: u32, kernel: u32) -> Hypergra
 /// The disjoint union of `parts` on renamed (offset) vertices:
 /// `hw = max` over the parts, and the union splits into one
 /// `[λc]`-component per part at the root — the canonical multi-component
-/// workload for the engines' sibling-subproblem parallelism.
+/// workload, whose components the engines recurse into one by one.
 pub fn disjoint_union(parts: &[Hypergraph]) -> Hypergraph {
     assert!(!parts.is_empty());
     let mut edges: Vec<Vec<u32>> = Vec::new();

@@ -2,7 +2,7 @@
 //! caching engine must be *observationally identical* to the uncached
 //! engine — same decidability for every k, and every witness passes the
 //! full HD validator — in both the sequential and the parallel
-//! (`parallel_depth > 0`) configurations. The cache may only change how
+//! (`LogK::parallel`, λc race on) configurations. The cache may only change how
 //! fast the answer arrives, never the answer. Since PR 2 the cache stores
 //! *positive* fragments too (arena-independent, re-interned on reuse) and
 //! evicts under memory pressure, so the suite additionally asserts that

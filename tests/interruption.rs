@@ -45,9 +45,10 @@ fn hard_basic() -> Hypergraph {
 }
 
 /// A hard *multi-component* instance: the root connector is empty, so
-/// every root-mode candidate fans its sibling components out on the pool
-/// (below-children parallelism) — interruption must propagate through
-/// the child-join path, not just the λc race.
+/// every root-mode candidate splits into one `[λc]`-component per part,
+/// and the search recurses into the components one after another —
+/// interruption must propagate out of a component's recursion, not just
+/// out of the λc race.
 fn hard_multi_component() -> Hypergraph {
     families::disjoint_union(&[hard_logk(), families::chorded_cycle(96, 48, 4)])
 }
@@ -138,7 +139,7 @@ fn logk_parallel_cancels() {
     });
 }
 
-// ---- log-k-decomp, sibling-children fan-out (multi-component) ----
+// ---- log-k-decomp, multi-component instance ----
 
 #[test]
 fn logk_child_parallel_times_out() {
@@ -158,8 +159,8 @@ fn logk_child_parallel_cancels() {
 
 #[test]
 fn logk_child_sequential_fallback_times_out() {
-    // 1-worker pool: the split gate must keep the child loops on the
-    // sequential fast path, and the stop contract must hold regardless.
+    // 1-worker pool: no λc race forks, every lead and component runs
+    // inline, and the stop contract must hold there too.
     let hg = hard_multi_component();
     assert_times_out("logk/children1", |c| {
         logk::LogK::parallel(1).search_with_stats(&hg, 3, c).err()

@@ -3,7 +3,7 @@
 //! separation runs) must be *observationally identical* to running the
 //! full separation — same decidability for every k, and every witness
 //! passes the full HD validator — in both the sequential and the
-//! parallel (`parallel_depth > 0`) configurations. The pre-filter may
+//! parallel (`LogK::parallel`, λc race on) configurations. The pre-filter may
 //! only change how many separations run, never the answer. On the grid
 //! family (the workload whose `lambda_p_rejected` counter motivated the
 //! filter) the suite additionally asserts that the filter actually fires

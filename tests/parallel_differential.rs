@@ -1,0 +1,163 @@
+//! Differential tests for the parallel engine: racing the λc leads
+//! across the pool must be *observationally identical* to the sequential
+//! search — same decidability for every k, and every witness passes the
+//! full HD validator. The race is the engine's only parallelism; the
+//! `[λc]`-components below a candidate always recurse in order.
+//!
+//! The suite compares `LogK::parallel(2)` with `LogK::sequential()` on
+//! the corpus slice, the wide corpus, disjoint unions (whose empty root
+//! connector splits every root candidate into one component per part)
+//! and arbitrary small hypergraphs. `LogK::parallel(1)` never forks a
+//! race, so it must return the very witness `sequential()` returns.
+//!
+//! Every `logk` solve here goes through `LogK::search_with_stats`, the
+//! search without the bounds pass, so instances the pass would settle
+//! (k = 1, minor-bounded refutations) still exercise the engine.
+
+use decomp::{validate_hd_width, Control};
+use logk::LogK;
+use proptest::prelude::*;
+use workloads::{families, hyperbench_like, wide_corpus, CorpusConfig, WideConfig};
+
+/// The parallel engine across the workloads corpus: verdicts identical
+/// to the sequential engine, and valid witnesses.
+#[test]
+fn corpus_parallel_matches_sequential() {
+    let corpus = hyperbench_like(CorpusConfig {
+        seed: 2024,
+        scale: 1.0 / 100.0,
+    });
+    let ctrl = Control::unlimited();
+    let seq = LogK::sequential();
+    let par = LogK::parallel(2);
+
+    let mut checked = 0usize;
+    for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
+        for k in 1..=4usize {
+            let (ds, _) = seq.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (dp, _) = par.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            assert_eq!(
+                ds.is_some(),
+                dp.is_some(),
+                "parallel disagrees on {} at k={k}",
+                inst.name
+            );
+            for d in [&ds, &dp].into_iter().flatten() {
+                validate_hd_width(&inst.hg, d, k)
+                    .unwrap_or_else(|e| panic!("invalid witness on {} at k={k}: {e:?}", inst.name));
+            }
+            if ds.is_some() {
+                break; // width found; larger k adds nothing new
+            }
+        }
+        checked += 1;
+    }
+    assert!(checked > 10, "corpus slice unexpectedly small");
+}
+
+/// A disjoint union of two grids: every root candidate splits into one
+/// `[λc]`-component per grid. At 2 workers the λc race must return the
+/// exact verdict with a valid witness, and the pool's steal counter must
+/// move — the second worker really takes leads. At 1 worker nothing is
+/// published, so nothing is stolen.
+#[test]
+fn disjoint_grids_match_sequential_and_steal() {
+    let hg = families::disjoint_union(&[families::grid(4, 4), families::grid(4, 4)]);
+    let ctrl = Control::unlimited();
+
+    let (d, stats) = LogK::parallel(2).search_with_stats(&hg, 3, &ctrl).unwrap();
+    validate_hd_width(&hg, &d.expect("hw(grid ⊎ grid) = 3"), 3).unwrap();
+    assert!(
+        stats.sched_steals > 0,
+        "the second worker must actually steal λc leads"
+    );
+
+    let (d1, s1) = LogK::parallel(1).search_with_stats(&hg, 3, &ctrl).unwrap();
+    validate_hd_width(&hg, &d1.expect("verdict is worker-independent"), 3).unwrap();
+    assert_eq!(s1.sched_steals, 0, "a 1-worker pool has nobody to steal");
+}
+
+/// The refutation side: at `k = 1` the union of two cycles is
+/// undecomposable, at `k = 2` it is not. Both verdicts must agree with
+/// the sequential engine.
+#[test]
+fn disjoint_cycles_verdicts_match_sequential() {
+    let hg = families::disjoint_union(&[families::cycle(8), families::cycle(8)]);
+    let ctrl = Control::unlimited();
+    for k in 1..=2usize {
+        let (dp, _) = LogK::parallel(2).search_with_stats(&hg, k, &ctrl).unwrap();
+        let (ds, _) = LogK::sequential().search_with_stats(&hg, k, &ctrl).unwrap();
+        assert_eq!(dp.is_some(), k == 2, "hw(C8 ⊎ C8) = 2, k={k}");
+        assert_eq!(ds.is_some(), k == 2, "hw(C8 ⊎ C8) = 2, k={k}");
+        for d in [&ds, &dp].into_iter().flatten() {
+            validate_hd_width(&hg, d, k).unwrap();
+        }
+    }
+}
+
+/// Wide corpus under the λc race: branch arenas and pooled scratch carry
+/// multi-word bitsets; verdicts and witnesses must match the sequential
+/// engine on every wide instance. A disjoint union of two wide bands adds
+/// a many-word instance whose root splits into two components.
+#[test]
+fn wide_corpus_parallel_matches_sequential() {
+    let ctrl = Control::unlimited();
+    let seq = LogK::sequential();
+    let par = LogK::parallel(2);
+    let mut checked = 0usize;
+    for inst in wide_corpus(WideConfig::default()) {
+        let Some(k) = inst.width_upper else { continue };
+        let (ds, _) = seq.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        let (dp, _) = par.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+        assert_eq!(
+            ds.is_some(),
+            dp.is_some(),
+            "parallel disagrees on {} at k={k}",
+            inst.name
+        );
+        for d in [&ds, &dp].into_iter().flatten() {
+            validate_hd_width(&inst.hg, d, k)
+                .unwrap_or_else(|e| panic!("invalid witness on {}: {e:?}", inst.name));
+        }
+        checked += 1;
+    }
+    assert!(checked >= 5, "wide corpus slice unexpectedly small");
+
+    // 524 vertices across two components.
+    let hg =
+        families::disjoint_union(&[families::band_cq(130, 4, 2), families::band_cq(130, 4, 2)]);
+    let (d, _) = par.search_with_stats(&hg, 1, &ctrl).unwrap();
+    validate_hd_width(&hg, &d.expect("bands are acyclic"), 1).unwrap();
+    assert!(seq.search_with_stats(&hg, 1, &ctrl).unwrap().0.is_some());
+}
+
+fn arb_hypergraph() -> impl Strategy<Value = hypergraph::Hypergraph> {
+    prop::collection::vec(prop::collection::vec(0u32..12, 2..4), 1..10)
+        .prop_map(|edges| hypergraph::Hypergraph::from_edge_lists(&edges))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary small hypergraphs (the vertex range leaves room for
+    /// disconnected instances): sequential and 2-worker parallel
+    /// decisions coincide for every k, all witnesses validate, and the
+    /// 1-worker parallel engine returns the sequential witness itself.
+    #[test]
+    fn parallel_decisions_match_sequential(hg in arb_hypergraph()) {
+        let ctrl = Control::unlimited();
+        let seq = LogK::sequential();
+        let par1 = LogK::parallel(1);
+        let par2 = LogK::parallel(2);
+        for k in 1..=3usize {
+            let a = seq.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let b = par1.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            let c = par2.search_with_stats(&hg, k, &ctrl).unwrap().0;
+            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "parallel(1) at k={}", k);
+            prop_assert_eq!(a.is_some(), c.is_some(), "parallel(2) at k={}", k);
+            for d in [&a, &c].into_iter().flatten() {
+                prop_assert!(validate_hd_width(&hg, d, k).is_ok());
+            }
+        }
+    }
+}

@@ -185,8 +185,9 @@ fn portfolio_race_cancels_externally_within_latency() {
 }
 
 /// Fault-injection half: the portfolio's engine and join sites, and the
-/// containment claims. Serialised via the same global-registry
-/// discipline as `tests/child_join_faults.rs`.
+/// containment claims. The fault registry is process-global, so these
+/// tests hold the same lock as the rest of the file and reset the
+/// registry on entry.
 #[cfg(feature = "fault-injection")]
 mod faults {
     use super::*;
