@@ -297,11 +297,6 @@ impl Basic<'_> {
     }
 }
 
-/// Convenience: decision-only variant of [`decompose_basic`].
-pub fn decide_basic(hg: &Hypergraph, k: usize, ctrl: &Control) -> Result<bool, Interrupted> {
-    Ok(decompose_basic(hg, k, ctrl)?.is_some())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,7 +24,7 @@ mod tests_engine;
 #[cfg(test)]
 mod tests_theory;
 
-pub use basic::{decide_basic, decompose_basic, SolveResult};
+pub use basic::{decompose_basic, SolveResult};
 pub use cache::{CacheSnapshot, Probe, SubproblemCache};
 pub use engine::{
     EngineConfig, EngineStats, HybridConfig, HybridMetric, LogKEngine, SolveStats,

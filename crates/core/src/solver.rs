@@ -29,7 +29,7 @@ use crate::engine::{
     EngineConfig, HybridConfig, HybridMetric, LogKEngine, SolveStats, DEFAULT_CACHE_BYTES,
     DEFAULT_DETK_CACHE_CAP, DEFAULT_POS_CACHE_MAX_FRAG,
 };
-use detk::{MemoSnapshot, SharedMemo};
+use detk::SharedMemo;
 
 /// Process-wide cache of work-stealing pools, keyed by worker count.
 ///
@@ -116,11 +116,6 @@ impl SharedTables {
     /// Counter snapshot of the subproblem cache.
     pub fn cache_snapshot(&self) -> CacheSnapshot {
         self.cache.snapshot()
-    }
-
-    /// Counter snapshot of the `det-k-decomp` memo.
-    pub fn memo_snapshot(&self) -> MemoSnapshot {
-        self.detk_memo.snapshot()
     }
 
     /// Whether this pair applies to a solve of `hg` at width `k`.
@@ -468,21 +463,6 @@ impl LogK {
             }
         }
         Ok(None)
-    }
-
-    /// Anytime variant of [`Self::minimal_width`]: instead of discarding
-    /// completed `k`-runs on interruption, returns the [`WidthBounds`]
-    /// the sweep *did* prove. See [`width_bounds_with`] for the sweep
-    /// discipline (`per_k_budget` gives each width its own sub-deadline,
-    /// so one hard width cannot starve the rest of the sweep).
-    pub fn width_bounds(
-        &self,
-        hg: &Hypergraph,
-        k_max: usize,
-        ctrl: &Arc<Control>,
-        per_k_budget: Option<Duration>,
-    ) -> WidthBounds {
-        width_bounds_with(hg, k_max, ctrl, per_k_budget, |_| self.clone())
     }
 }
 

@@ -187,19 +187,6 @@ impl<'h> DetKDecomp<'h> {
         }
     }
 
-    /// Replaces the memo-table entry cap of an engine-owned table.
-    /// No-op when the table is shared — the sharer configured its cap.
-    pub fn with_cache_cap(mut self, cap: usize) -> Self {
-        if matches!(self.memo, MemoHandle::Owned { .. }) {
-            self.memo = MemoHandle::Owned {
-                cell: OnceCell::new(),
-                k: self.k,
-                cap,
-            };
-        }
-        self
-    }
-
     /// Replaces the engine-owned memo table with one shared by the caller
     /// — `log-k-decomp`'s hybrid driver threads a single lock-striped
     /// table through every handoff and rayon branch this way.
@@ -253,11 +240,6 @@ impl<'h> DetKDecomp<'h> {
     /// Number of memoised subproblems (diagnostics).
     pub fn cache_len(&self) -> usize {
         self.memo.get().len()
-    }
-
-    /// The configured memo-table entry cap (diagnostics).
-    pub fn cache_cap(&self) -> usize {
-        self.memo.get().cap()
     }
 
     /// Deepest recursion level reached so far (diagnostics; the paper's

@@ -317,16 +317,6 @@ impl Ticket {
         let id = self.id;
         self.rx.recv().unwrap_or_else(|_| Response::severed(id))
     }
-
-    /// Non-blocking poll; `None` while the request is still queued or
-    /// running.
-    pub fn try_wait(&self) -> Option<Response> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Response::severed(self.id)),
-        }
-    }
 }
 
 /// An admitted request travelling from `submit` to an executor.

@@ -26,11 +26,10 @@ pub const MAGIC: [u8; 4] = *b"HTDW";
 /// Frame-*layout* version, written into header byte 4 of every frame.
 ///
 /// This is deliberately distinct from the negotiated *session* version
-/// ([`crate::proto::MIN_VERSION`]`..=`[`crate::proto::MAX_VERSION`]):
-/// the session version governs which messages a peer may send (v2 adds
-/// the `Race` job and `Raced` outcome), while this byte only changes if
-/// the 16-byte header shape itself ever does. Every session version so
-/// far shares frame layout 1, so mixed-version peers still frame-sync.
+/// ([`crate::proto::VERSION`]): the session version governs which
+/// messages a peer may send, while this byte only changes if the
+/// 16-byte header shape itself ever does. Every session version so far
+/// shares frame layout 1, so mixed-version peers still frame-sync.
 pub const FRAME_VERSION: u8 = 1;
 
 /// Fixed header size in bytes.
@@ -103,7 +102,7 @@ pub enum FrameError {
         /// The version byte found.
         found: u8,
     },
-    /// Reserved header bytes were not zero. Fatal: a v1 peer never
+    /// Reserved header bytes were not zero. Fatal: a layout-1 peer never
     /// sends this, so the stream is desynchronised or corrupt.
     BadReserved {
         /// The reserved field's value.

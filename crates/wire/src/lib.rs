@@ -13,8 +13,8 @@
 //! * [`server`] / [`client`] — a [`WireServer`] frontend that puts
 //!   [`htdserve::Server`] on a socket (per-connection deadlines, idle
 //!   reaping, graceful drain), and a [`WireClient`] that reuses its
-//!   negotiated sessions, retries with jittered exponential backoff,
-//!   honors server overload hints, and hedges idempotent requests.
+//!   negotiated connections, retries with jittered exponential backoff
+//!   and honors server overload hints.
 //!
 //! Under `--features fault-injection`, [`net`] wires the
 //! `take_net` chaos plans of [`decomp::faults`] (mid-frame disconnects,
@@ -30,7 +30,6 @@ pub mod server;
 pub use client::{ClientConfig, ClientError, ClientReply, JobSpec, WireClient};
 pub use codec::{Frame, FrameDecoder, FrameError, FrameKind, DEFAULT_MAX_PAYLOAD, FRAME_VERSION};
 pub use proto::{
-    GoodbyeReason, Message, WireDecomp, WireError, WireInterrupt, WireJob, WireOutcome,
-    MAX_VERSION, MIN_VERSION, RACE_VERSION,
+    GoodbyeReason, Message, WireDecomp, WireError, WireInterrupt, WireJob, WireOutcome, VERSION,
 };
 pub use server::{WireConfig, WireReport, WireServer, WireStats};

@@ -1,13 +1,12 @@
 //! Protocol specification and message codecs.
 //!
-//! # `htdwire` protocol, versions 1–2
+//! # `htdwire` protocol, version 2
 //!
 //! A connection carries a bidirectional stream of *frames* over TCP.
 //! All integers are **little-endian**; there is no padding.
 //!
-//! Version 2 adds portfolio racing: the `Race` job (Submit job tag 2)
-//! and the `Raced` reply outcome (tag 5). Everything else is identical
-//! to version 1, including the frame layout.
+//! Version 2 ([`VERSION`]) is the only session version this build
+//! speaks.
 //!
 //! ## Frame layout
 //!
@@ -25,9 +24,9 @@
 //!
 //! Header byte 4 is the *layout* version ([`crate::codec::FRAME_VERSION`]),
 //! not the negotiated session version: it only changes if the header
-//! shape itself does, so v1 and v2 peers always stay frame-synchronised
-//! and version mismatches surface as polite message-level rejects
-//! instead of torn connections.
+//! shape itself does, so peers of any session version stay
+//! frame-synchronised and version mismatches surface as polite
+//! message-level rejects instead of torn connections.
 //!
 //! | kind | name       | direction | payload |
 //! |------|------------|-----------|---------|
@@ -41,30 +40,29 @@
 //! ## Version negotiation
 //!
 //! The client's first frame MUST be `Hello` carrying the inclusive
-//! range of versions it speaks. The server answers `HelloAck` with the
-//! highest version inside the intersection, or `Reject` with error
-//! code 6 (`Unsupported`, carrying the server's own range) and closes.
-//! Every subsequent frame on the connection uses the agreed version.
-//! A `Submit` before `Hello` is rejected as `Malformed`; a `Race`
-//! submit on a session that negotiated version 1 is rejected as
-//! `Unsupported` (the payload still *decodes* — decoding is
-//! version-blind — but the server refuses to run it).
+//! range of versions it speaks. The server answers `HelloAck` with
+//! version 2 when the range contains it, or `Reject` with error code 6
+//! (`Unsupported`, carrying the server's own range, `2..=2`) and
+//! closes. A `Submit` before `Hello` is rejected as `Malformed`.
 //!
 //! ## Submit payload
 //!
 //! ```text
 //! id: u64            client-chosen correlation id, echoed in the reply
-//! flags: u8          bit 0: idempotent (safe to retry/hedge blindly)
-//! job: u8            0 = Decide, 1 = MinimalWidth, 2 = Race (v2+)
+//! flags: u8          bit 0: idempotent; other bits must be zero
+//! job: u8            0 = Decide, 1 = MinimalWidth, 2 = Race
 //! k: u32             width to decide / largest width to sweep
 //! deadline_ms: u64   0 = no deadline, else budget from server receipt
 //! num_edges: u32     hypergraph as plain vertex-index edge lists
 //! repeat num_edges:  { arity: u32, vertices: u32 × arity }
 //! ```
 //!
-//! `Race` decides `hw(H) ≤ k` like `Decide`, but by racing the
-//! server's whole algorithm portfolio; the reply names the winning
-//! engine.
+//! Every job is a pure query, so the client always sets flags bit 0 and
+//! the server ignores it.
+//!
+//! `Race` decides `hw(H) ≤ k` like `Decide`, but by racing `logk-seq`
+//! against `detk` (the server's portfolio); the reply names the
+//! winning engine.
 //!
 //! ## Reply payload
 //!
@@ -74,7 +72,7 @@
 //! solve_ns: u64      server-side execution time (including retries)
 //! retries: u32       contained-panic re-executions consumed
 //! outcome: u8        0 Decided / 1 Width / 2 TimedOut / 3 Cancelled
-//!                    / 4 Panicked / 5 Raced (v2+)
+//!                    / 4 Panicked / 5 Raced
 //! Decided:  k: u32, has_witness: u8, [decomposition]
 //! Width:    proven_lower: u32, has_upper: u8, [best_upper: u32],
 //!           has_witness: u8, [decomposition],
@@ -84,8 +82,8 @@
 //! ```
 //!
 //! `Raced.winner` is the portfolio engine index (`portfolio::EngineKind`
-//! order: 0 logk-seq, 1 logk-par, 2 logk-hybrid, 3 det-k, 4 ghd,
-//! 5 htd-sat). Servers may add engines over time, so clients MUST
+//! order: 0 logk-seq, 1 logk-par, 2 logk-hybrid, 3 detk, 4 ghd,
+//! 5 htdsat). Servers may add engines over time, so clients MUST
 //! tolerate winner values they do not recognise — the verdict
 //! (`has_witness`) is authoritative regardless of who produced it.
 //!
@@ -110,13 +108,14 @@
 //! | 2    | `ShuttingDown` | —      | reconnect elsewhere / later |
 //! | 3    | `Malformed`    | `detail_len: u32, detail: utf-8` | fix the frame; not retryable as-is |
 //! | 4    | `TooLarge`     | `declared: u32, cap: u32` | shrink the instance |
-//! | 5    | `Busy`         | —      | one request at a time per connection |
 //! | 6    | `Unsupported`  | `server_min: u8, server_max: u8` | renegotiate version |
 //!
-//! `Overloaded`, `ShuttingDown` and `Busy` are *backpressure*: the
-//! request was not (and will not be) executed, so retrying is always
-//! safe, idempotent or not. `Expired`, `Malformed`, `TooLarge` and
-//! `Unsupported` are terminal for the request as submitted.
+//! Code 5 is unassigned and decodes as an invalid code.
+//!
+//! `Overloaded` and `ShuttingDown` are *backpressure*: the request was
+//! not (and will not be) executed, so retrying is always safe.
+//! `Expired`, `Malformed`, `TooLarge` and `Unsupported` are terminal
+//! for the request as submitted.
 //!
 //! ## Framing errors
 //!
@@ -132,15 +131,8 @@ use decomp::{Decomposition, Interrupted};
 
 use crate::codec::FrameKind;
 
-/// Lowest session version this build can speak.
-pub const MIN_VERSION: u8 = 1;
-/// Highest session version this build can speak (2 adds portfolio
-/// racing: the `Race` job and the `Raced` outcome).
-pub const MAX_VERSION: u8 = 2;
-
-/// First session version that understands [`WireJob::Race`] and
-/// [`WireOutcome::Raced`].
-pub const RACE_VERSION: u8 = 2;
+/// The one session version this build speaks.
+pub const VERSION: u8 = 2;
 
 /// Correlation id used by connection-level [`WireError`]s that reject
 /// no particular request.
@@ -159,8 +151,7 @@ pub enum WireJob {
         /// Largest width the sweep tries.
         k_max: u32,
     },
-    /// Decide `hw(H) ≤ k` by racing the server's algorithm portfolio
-    /// (session version ≥ [`RACE_VERSION`] only).
+    /// Decide `hw(H) ≤ k` by racing the server's algorithm portfolio.
     Race {
         /// Width bound to decide.
         k: u32,
@@ -315,8 +306,8 @@ pub enum WireOutcome {
         /// Final attempt's panic message.
         message: String,
     },
-    /// Portfolio-race decision verdict (session version ≥
-    /// [`RACE_VERSION`]); `witness` is `Some` iff `hw(H) ≤ k`.
+    /// Portfolio-race decision verdict; `witness` is `Some` iff
+    /// `hw(H) ≤ k`.
     Raced {
         /// The width bound that was decided.
         k: u32,
@@ -357,8 +348,6 @@ pub enum WireError {
         /// The enforced cap.
         cap: u32,
     },
-    /// A second `Submit` arrived while one was in flight.
-    Busy,
     /// No protocol version in common.
     Unsupported {
         /// Lowest version the server speaks.
@@ -373,10 +362,7 @@ impl WireError {
     /// pure backpressure (nothing was executed), false for terminal
     /// rejections.
     pub fn is_backpressure(&self) -> bool {
-        matches!(
-            self,
-            WireError::Overloaded { .. } | WireError::ShuttingDown | WireError::Busy
-        )
+        matches!(self, WireError::Overloaded { .. } | WireError::ShuttingDown)
     }
 }
 
@@ -398,7 +384,6 @@ impl std::fmt::Display for WireError {
             WireError::TooLarge { declared, cap } => {
                 write!(f, "frame of {declared} B exceeds cap {cap} B")
             }
-            WireError::Busy => write!(f, "a request is already in flight on this connection"),
             WireError::Unsupported {
                 server_min,
                 server_max,
@@ -442,7 +427,7 @@ pub enum Message {
         job: WireJob,
         /// Deadline budget in ms from server receipt; `None` = none.
         deadline_ms: Option<u64>,
-        /// Whether blind retry/hedging is safe for this job.
+        /// Flags bit 0. Clients always set it; the server ignores it.
         idempotent: bool,
         /// The instance as vertex-index edge lists.
         edges: Vec<Vec<u32>>,
@@ -793,7 +778,6 @@ impl Message {
                         w.u32(*declared);
                         w.u32(*cap);
                     }
-                    WireError::Busy => w.u8(5),
                     WireError::Unsupported {
                         server_min,
                         server_max,
@@ -844,8 +828,6 @@ impl Message {
                 let job = match job_tag {
                     0 => WireJob::Decide { k },
                     1 => WireJob::MinimalWidth { k_max: k },
-                    // Decoding is version-blind; the server enforces
-                    // the negotiated session version at dispatch.
                     2 => WireJob::Race { k },
                     other => return Err(DecodeError::invalid("submit/job", other as u64)),
                 };
@@ -960,7 +942,6 @@ impl Message {
                         declared: r.u32("reject/declared")?,
                         cap: r.u32("reject/cap")?,
                     },
-                    5 => WireError::Busy,
                     6 => WireError::Unsupported {
                         server_min: r.u8("reject/server_min")?,
                         server_max: r.u8("reject/server_max")?,
@@ -1136,7 +1117,7 @@ mod tests {
         let err = Message::decode_payload(FrameKind::Submit, &lying).unwrap_err();
         assert!(err.truncated);
 
-        // The v2 Raced reply follows the same discipline.
+        // The Raced reply follows the same discipline.
         let raced = Message::Reply {
             id: 1,
             outcome: WireOutcome::Raced {
@@ -1157,6 +1138,16 @@ mod tests {
             assert!(
                 Message::decode_payload(FrameKind::Reply, &payload[..cut]).is_err(),
                 "cut at {cut} must fail, not panic"
+            );
+        }
+
+        // Unassigned reject codes are invalid values, not truncation.
+        for code in [5u8, 7, u8::MAX] {
+            let mut payload = 3u64.to_le_bytes().to_vec();
+            payload.push(code);
+            assert_eq!(
+                Message::decode_payload(FrameKind::Reject, &payload),
+                Err(DecodeError::invalid("reject/code", code as u64))
             );
         }
     }

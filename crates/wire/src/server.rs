@@ -40,8 +40,8 @@ use hypergraph::Hypergraph;
 use crate::codec::{FrameDecoder, FrameError};
 use crate::net;
 use crate::proto::{
-    GoodbyeReason, Message, WireDecomp, WireError, WireInterrupt, WireJob, WireOutcome,
-    MAX_VERSION, MIN_VERSION, NO_REQUEST, RACE_VERSION,
+    GoodbyeReason, Message, WireDecomp, WireError, WireInterrupt, WireJob, WireOutcome, NO_REQUEST,
+    VERSION,
 };
 
 /// Largest vertex id a `Submit` may mention. Edge lists are index-based,
@@ -340,7 +340,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let mut decoder = FrameDecoder::new(shared.max_payload);
     let mut buf = [0u8; 8192];
     let mut last_activity = Instant::now();
-    let mut version: Option<u8> = None;
+    let mut greeted = false;
 
     loop {
         if shared.stopping.load(Ordering::Acquire) {
@@ -381,7 +381,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 Ok(None) => break,
                 Ok(Some(frame)) => match Message::decode_payload(frame.kind, &frame.payload) {
                     Ok(msg) => {
-                        if !dispatch(shared, &mut stream, &mut version, msg) {
+                        if !dispatch(shared, &mut stream, &mut greeted, msg) {
                             return;
                         }
                     }
@@ -447,32 +447,26 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     }
 }
 
-/// Handles one decoded message. Returns `false` when the connection
+/// Handles one decoded message; `greeted` records whether this
+/// connection's `Hello` was acked. Returns `false` when the connection
 /// should close.
-fn dispatch(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    version: &mut Option<u8>,
-    msg: Message,
-) -> bool {
+fn dispatch(shared: &Shared, stream: &mut TcpStream, greeted: &mut bool, msg: Message) -> bool {
     match msg {
         Message::Hello {
             min_version,
             max_version,
         } => {
-            let lo = min_version.max(MIN_VERSION);
-            let hi = max_version.min(MAX_VERSION);
-            if lo <= hi {
-                *version = Some(hi);
-                send(stream, &Message::HelloAck { version: hi }).is_ok()
+            if (min_version..=max_version).contains(&VERSION) {
+                *greeted = true;
+                send(stream, &Message::HelloAck { version: VERSION }).is_ok()
             } else {
                 let _ = send(
                     stream,
                     &Message::Reject {
                         id: NO_REQUEST,
                         error: WireError::Unsupported {
-                            server_min: MIN_VERSION,
-                            server_max: MAX_VERSION,
+                            server_min: VERSION,
+                            server_max: VERSION,
                         },
                     },
                 );
@@ -486,7 +480,7 @@ fn dispatch(
             idempotent: _,
             edges,
         } => {
-            let reply = serve_submit(shared, *version, id, job, deadline_ms, &edges);
+            let reply = serve_submit(shared, *greeted, id, job, deadline_ms, &edges);
             match &reply {
                 Message::Reply { outcome, .. } => {
                     shared.counters.replies_sent.fetch_add(1, Ordering::Relaxed);
@@ -529,30 +523,17 @@ fn dispatch(
 /// to write back.
 fn serve_submit(
     shared: &Shared,
-    version: Option<u8>,
+    greeted: bool,
     id: u64,
     job: WireJob,
     deadline_ms: Option<u64>,
     edges: &[Vec<u32>],
 ) -> Message {
-    let Some(version) = version else {
+    if !greeted {
         return Message::Reject {
             id,
             error: WireError::Malformed {
                 detail: "submit before hello".into(),
-            },
-        };
-    };
-    // Race submits decode on any session (decoding is version-blind)
-    // but only *run* on sessions that negotiated v2: a v1 peer that
-    // sends one is confused, and the reject's version range tells it
-    // the fix is renegotiation, not a different request.
-    if matches!(job, WireJob::Race { .. }) && version < RACE_VERSION {
-        return Message::Reject {
-            id,
-            error: WireError::Unsupported {
-                server_min: MIN_VERSION,
-                server_max: MAX_VERSION,
             },
         };
     }
