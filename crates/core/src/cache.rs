@@ -1,499 +1,27 @@
-//! Sharded, lock-striped memoisation of subproblem verdicts — negative
-//! *and* positive.
+//! Memoisation of subproblem verdicts — negative *and* positive.
 //!
 //! `det-k-decomp` owes much of its practical strength to memoising
 //! subproblem results per `(component, connector)` (Gottlob & Samer). The
-//! main `log-k-decomp` recursion historically re-explored subproblems from
-//! scratch: the same `[U]`-component with the same connector arises under
-//! many different λ candidates, and every occurrence repeated the full
-//! child-loop enumeration. This module gives the engine the analogous
-//! cache, made sound for the parallel engine:
+//! main `log-k-decomp` recursion would otherwise re-explore subproblems
+//! from scratch: the same `[U]`-component with the same connector arises
+//! under many different λ candidates, and every occurrence would repeat
+//! the full child-loop enumeration. The engine therefore memoises each
+//! `Decomp(H', Conn, A)` verdict in the workspace's one memo table
+//! ([`decomp::StripedTable`], the same type det-k's memo is), keyed by
+//! the resolved subproblem *and* the allowed edge set `A`:
 //!
 //! * **Both verdicts.** A *negative* entry records "no HD-fragment of
 //!   width ≤ k exists" for the resolved subproblem. A *positive* entry
-//!   stores the found fragment in arena-independent form
-//!   ([`PortableFragment`]: special leaves resolved to vertex sets); on a
-//!   hit the fragment is re-interned against the prober's
-//!   [`SpecialArena`] by a set-preserving
-//!   id-rewrite pass, so a success found in one λc branch is reused
-//!   verbatim by every other branch and across recursion levels.
+//!   stores the found fragment in arena-independent form; on a hit the
+//!   fragment is re-interned against the prober's arena, so a success
+//!   found in one λc branch is reused verbatim by every other branch and
+//!   across recursion levels.
 //! * **Exhaustive failures only.** The engine inserts a negative entry
 //!   only when a `Decomp` call returns `None` after exhausting its search
 //!   space. Branches that were pruned (a sibling won) or interrupted
 //!   (timeout / cancellation) propagate errors and are never cached.
 //!   Positive entries carry a complete witness and are always safe.
-//!
-//! The concurrency machinery — resolved keys, commutative-hash
-//! borrowed-key probes, 16-shard lock striping, owned-key-on-insert,
-//! under-lock dedup — is the shared [`decomp::striped`] core; this module
-//! instantiates it with the engine's value type (a `Verdict`) and the
-//! byte-budgeted second-chance retention policy
-//! ([`ClockEviction`]): instead of freezing
-//! inserts at the budget, each shard runs a CLOCK sweep when an insert
-//! would overflow — entries touched since the last sweep get a second
-//! chance, cold entries are evicted until the new entry fits.
+//! * **Bounded.** The table evicts cold entries (CLOCK) under the
+//!   engine's `cache_bytes` budget; `0` disables it.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-use decomp::{ClockEviction, Fragment, InsertOutcome, PortableFragment, StripedTable};
-use hypergraph::{EdgeSet, SpecialArena, Subproblem, VertexSet};
-
-/// A memoised verdict: refuted, or solved with a shareable witness.
-#[derive(Debug)]
-enum Verdict {
-    /// No HD-fragment of width ≤ k exists (search space exhausted).
-    Negative,
-    /// A fragment exists; stored arena-independent. `Arc`-wrapped so a
-    /// hit can leave the shard lock before the re-interning clone pass
-    /// runs — parallel branches must not convoy behind fragment clones.
-    Positive(Arc<PortableFragment>),
-}
-
-decomp::counters! {
-    /// A point-in-time snapshot of cache state, for stats reporting.
-    pub struct CacheSnapshot {
-        /// Entries evicted by the second-chance sweep.
-        evictions: u64 = sum,
-        /// Entries currently stored.
-        entries: usize = max,
-        /// Estimated bytes currently stored.
-        bytes: usize = max,
-        /// Configured byte budget (0 = cache disabled).
-        byte_budget: usize = max,
-    }
-
-    /// Monotone counters, shared across rayon branches. (Evictions live
-    /// in the shared table's policy totals.)
-    atomic Counters {
-        /// Lookups answered with a reusable fragment.
-        pos_hits: u64 = sum,
-        /// Lookups answered "known unsolvable".
-        neg_hits: u64 = sum,
-        /// Lookups that found nothing.
-        misses: u64 = sum,
-        /// Entries inserted.
-        inserts: u64 = sum,
-        /// Insertions dropped because eviction could not make room.
-        rejected: u64 = sum,
-        /// Special-leaf id rewrites performed while re-interning positive
-        /// fragments into prober arenas.
-        id_rewrites: u64 = sum,
-    }
-}
-
-impl CacheSnapshot {
-    /// Total hits, positive and negative.
-    pub fn hits(&self) -> u64 {
-        self.pos_hits + self.neg_hits
-    }
-}
-
-/// Result of a borrowed-key probe.
-pub enum Probe {
-    /// Known unsolvable subproblem.
-    Negative,
-    /// Known solvable: the stored fragment, re-interned against the
-    /// prober's arena.
-    Positive(Fragment),
-    /// Unknown; carries the key hash so the follow-up insert does not
-    /// recompute it.
-    Miss(u64),
-}
-
-/// The sharded subproblem cache (both verdicts, byte-budgeted, evicting):
-/// the engine's instantiation of the shared striped-table core.
-pub struct SubproblemCache {
-    table: StripedTable<Verdict, ClockEviction>,
-    counters: Counters,
-}
-
-impl SubproblemCache {
-    /// Creates a cache bounded by `byte_budget` bytes; `0` disables it
-    /// (every lookup misses, every insert is dropped).
-    pub fn new(byte_budget: usize) -> Self {
-        SubproblemCache {
-            table: StripedTable::new(ClockEviction::new(byte_budget)),
-            counters: Counters::default(),
-        }
-    }
-
-    /// Whether lookups can ever hit.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.table.policy().byte_budget() > 0
-    }
-
-    /// Looks up the subproblem without building an owned key. On a
-    /// positive hit the stored fragment is re-interned against `arena`
-    /// (special-leaf ids rewritten to `sub.specials`).
-    pub fn probe(
-        &self,
-        arena: &SpecialArena,
-        sub: &Subproblem,
-        conn: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-    ) -> Probe {
-        if !self.enabled() {
-            return Probe::Miss(self.table.hash_key(arena, sub, conn, Some(allowed)));
-        }
-        // Under the lock: find, mark referenced, and (for positives)
-        // clone an `Arc` handle. The fragment re-interning runs unlocked.
-        let (hash, hit) = self
-            .table
-            .probe_with(arena, sub, conn, Some(allowed), |verdict| match verdict {
-                Verdict::Negative => None,
-                Verdict::Positive(pf) => Some(Arc::clone(pf)),
-            });
-        match hit {
-            Some(None) => {
-                self.counters.neg_hits.fetch_add(1, Ordering::Relaxed);
-                return Probe::Negative;
-            }
-            Some(Some(pf)) => {
-                if let Some((frag, rewrites)) = pf.instantiate(arena, &sub.specials) {
-                    self.counters.pos_hits.fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .id_rewrites
-                        .fetch_add(rewrites, Ordering::Relaxed);
-                    return Probe::Positive(frag);
-                }
-                // A matched key must instantiate: the leaf multiset
-                // equals the key's specials equals the probe's.
-                debug_assert!(false, "matched positive entry failed to instantiate");
-            }
-            None => {}
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        Probe::Miss(hash)
-    }
-
-    /// Records the subproblem as exhaustively failed.
-    pub fn insert_negative(
-        &self,
-        hash: u64,
-        arena: &SpecialArena,
-        sub: &Subproblem,
-        conn: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        decomp::faults::hit("logk/cache/insert");
-        self.finish_insert(self.table.insert(
-            hash,
-            arena,
-            sub,
-            conn,
-            Some(allowed),
-            Verdict::Negative,
-            0,
-        ));
-    }
-
-    /// Records a found fragment for the subproblem, resolved to
-    /// arena-independent form.
-    pub fn insert_positive(
-        &self,
-        hash: u64,
-        arena: &SpecialArena,
-        sub: &Subproblem,
-        conn: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-        frag: &Fragment,
-    ) {
-        if !self.enabled() {
-            return;
-        }
-        decomp::faults::hit("logk/cache/insert");
-        let portable = PortableFragment::from_fragment(frag, arena);
-        debug_assert_eq!(
-            portable.num_special_leaves(),
-            sub.specials.len(),
-            "a fragment covers each special of its subproblem by one leaf"
-        );
-        let cost = portable.approx_bytes();
-        self.finish_insert(self.table.insert(
-            hash,
-            arena,
-            sub,
-            conn,
-            Some(allowed),
-            Verdict::Positive(Arc::new(portable)),
-            cost,
-        ));
-    }
-
-    fn finish_insert(&self, outcome: InsertOutcome) {
-        match outcome {
-            InsertOutcome::Inserted => {
-                self.counters.inserts.fetch_add(1, Ordering::Relaxed);
-            }
-            InsertOutcome::Rejected => {
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            // Duplicate key (another branch beat us): keep the incumbent.
-            InsertOutcome::Duplicate => {}
-        }
-    }
-
-    /// Entries currently stored.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Point-in-time snapshot of counters and footprint.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            evictions: self.table.totals().evictions(),
-            entries: self.table.len(),
-            bytes: self.table.totals().bytes(),
-            byte_budget: self.table.policy().byte_budget(),
-            ..self.counters.snapshot()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use decomp::{striped::SHARDS, Fragment, StripedKey};
-    use hypergraph::{Edge, Hypergraph, Vertex};
-
-    fn hg4() -> Hypergraph {
-        Hypergraph::from_edge_lists(&[vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 0]])
-    }
-
-    fn sub_of(hg: &Hypergraph, edges: &[u32]) -> Subproblem {
-        let mut sub = Subproblem::empty(hg);
-        for &e in edges {
-            sub.edges.insert(Edge(e));
-        }
-        sub
-    }
-
-    fn key_cost(
-        arena: &SpecialArena,
-        sub: &Subproblem,
-        conn: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-    ) -> usize {
-        StripedKey::build(arena, sub, conn, Some(allowed)).approx_bytes()
-    }
-
-    fn probe_hash(
-        cache: &SubproblemCache,
-        arena: &SpecialArena,
-        sub: &Subproblem,
-        conn: &VertexSet,
-        allowed: &Arc<EdgeSet>,
-    ) -> u64 {
-        match cache.probe(arena, sub, conn, allowed) {
-            Probe::Miss(h) => h,
-            _ => panic!("expected a miss"),
-        }
-    }
-
-    #[test]
-    fn insert_negative_then_hit() {
-        let hg = hg4();
-        let arena = SpecialArena::new();
-        let cache = SubproblemCache::new(1 << 20);
-        let conn = hg.vertex_set();
-        let allowed = Arc::new(hg.all_edges());
-        let sub = sub_of(&hg, &[0, 1]);
-        let h = probe_hash(&cache, &arena, &sub, &conn, &allowed);
-        cache.insert_negative(h, &arena, &sub, &conn, &allowed);
-        assert!(matches!(
-            cache.probe(&arena, &sub, &conn, &allowed),
-            Probe::Negative
-        ));
-        let other = sub_of(&hg, &[0, 2]);
-        assert!(matches!(
-            cache.probe(&arena, &other, &conn, &allowed),
-            Probe::Miss(_)
-        ));
-        let snap = cache.snapshot();
-        assert_eq!(snap.neg_hits, 1);
-        assert_eq!(snap.misses, 2);
-        assert_eq!(snap.inserts, 1);
-        assert_eq!(snap.entries, 1);
-        assert!(snap.bytes > 0);
-    }
-
-    #[test]
-    fn positive_fragment_reinterns_across_arenas() {
-        let hg = hg4();
-        let n = hg.num_vertices();
-        let mut a1 = SpecialArena::new();
-        let mut a2 = SpecialArena::new();
-        // Same vertex set registered under different ids in two arenas.
-        let _pad = a2.push(VertexSet::from_iter(n, [Vertex(3)]));
-        let s1 = a1.push(VertexSet::from_iter(n, [Vertex(0), Vertex(2)]));
-        let s2 = a2.push(VertexSet::from_iter(n, [Vertex(0), Vertex(2)]));
-        let mut sub1 = sub_of(&hg, &[1]);
-        sub1.specials.push(s1);
-        let mut sub2 = sub_of(&hg, &[1]);
-        sub2.specials.push(s2);
-        let conn = hg.vertex_set();
-        let allowed = Arc::new(hg.all_edges());
-
-        // A fragment for sub1: a root plus the special leaf.
-        let mut frag = Fragment::leaf(vec![Edge(1)], hg.union_of_slice(&[Edge(1)]));
-        frag.attach_under(0, Fragment::special_leaf(s1, a1.get(s1).clone()));
-
-        let cache = SubproblemCache::new(1 << 20);
-        let h = probe_hash(&cache, &a1, &sub1, &conn, &allowed);
-        cache.insert_positive(h, &a1, &sub1, &conn, &allowed, &frag);
-
-        // The other arena's view of the same resolved subproblem hits and
-        // gets the fragment rewritten to *its* id.
-        match cache.probe(&a2, &sub2, &conn, &allowed) {
-            Probe::Positive(got) => {
-                assert_eq!(got.find_special_leaf(s2), Some(1));
-            }
-            _ => panic!("expected a positive hit"),
-        }
-        let snap = cache.snapshot();
-        assert_eq!(snap.pos_hits, 1);
-        assert_eq!(snap.id_rewrites, 1);
-    }
-
-    #[test]
-    fn clock_eviction_keeps_referenced_entries() {
-        // The sweep is per-shard, so the test needs three keys that land
-        // in the *same* shard. Shard choice depends on the run's random
-        // hash seed; enumerate enough candidate subproblems that the
-        // pigeonhole principle guarantees a triple in some shard, and read
-        // each key's hash off the `Probe::Miss` it returns.
-        let edges: Vec<Vec<u32>> = (0..12u32).map(|i| vec![i, (i + 1) % 12]).collect();
-        let hg = Hypergraph::from_edge_lists(&edges);
-        let arena = SpecialArena::new();
-        let conn = hg.vertex_set();
-        let allowed = Arc::new(hg.all_edges());
-
-        let mut candidates: Vec<Subproblem> = Vec::new();
-        for i in 0..12u32 {
-            for j in i + 1..12 {
-                candidates.push(sub_of(&hg, &[i, j]));
-            }
-        }
-        // All candidate keys have identical capacity-derived cost.
-        let one_cost = key_cost(&arena, &candidates[0], &conn, &allowed);
-        let cache = SubproblemCache::new(2 * one_cost + one_cost / 2);
-        let mut by_shard: Vec<Vec<(Subproblem, u64)>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for sub in candidates {
-            let h = probe_hash(&cache, &arena, &sub, &conn, &allowed);
-            by_shard[(h as usize) % SHARDS].push((sub, h));
-        }
-        let triple = by_shard
-            .into_iter()
-            .find(|v| v.len() >= 3)
-            .expect("66 keys over 16 shards must collide");
-        let [(hot, h_hot), (cold, h_cold), (new, h_new)] = &triple[..3] else {
-            unreachable!()
-        };
-
-        cache.insert_negative(*h_hot, &arena, hot, &conn, &allowed);
-        cache.insert_negative(*h_cold, &arena, cold, &conn, &allowed);
-        // Touch the hot entry so its reference bit is set.
-        assert!(matches!(
-            cache.probe(&arena, hot, &conn, &allowed),
-            Probe::Negative
-        ));
-
-        // Third insert overflows the budget: the sweep gives the hot
-        // entry its second chance and evicts the cold one.
-        cache.insert_negative(*h_new, &arena, new, &conn, &allowed);
-
-        let snap = cache.snapshot();
-        assert_eq!(snap.evictions, 1, "sweep must evict the cold entry");
-        assert!(
-            matches!(cache.probe(&arena, hot, &conn, &allowed), Probe::Negative),
-            "referenced entry must survive the sweep"
-        );
-        assert!(
-            matches!(cache.probe(&arena, new, &conn, &allowed), Probe::Negative),
-            "new entry must be stored after the sweep"
-        );
-        assert!(
-            matches!(cache.probe(&arena, cold, &conn, &allowed), Probe::Miss(_)),
-            "cold entry must be gone"
-        );
-        assert!(snap.bytes <= 2 * one_cost + one_cost / 2);
-    }
-
-    #[test]
-    fn overflow_insert_is_rejected_when_nothing_fits() {
-        let hg = hg4();
-        let arena = SpecialArena::new();
-        let conn = hg.vertex_set();
-        let allowed = Arc::new(hg.all_edges());
-        let sub = sub_of(&hg, &[0]);
-        let cost = key_cost(&arena, &sub, &conn, &allowed);
-        let cache = SubproblemCache::new(cost / 2); // nothing ever fits
-        let h = probe_hash(&cache, &arena, &sub, &conn, &allowed);
-        cache.insert_negative(h, &arena, &sub, &conn, &allowed);
-        let snap = cache.snapshot();
-        assert_eq!(snap.inserts, 0);
-        assert_eq!(snap.rejected, 1);
-        assert_eq!(snap.bytes, 0, "rejected insert must release its bytes");
-    }
-
-    #[test]
-    fn disabled_cache_never_stores() {
-        let hg = hg4();
-        let arena = SpecialArena::new();
-        let cache = SubproblemCache::new(0);
-        assert!(!cache.enabled());
-        let conn = hg.vertex_set();
-        let allowed = Arc::new(hg.all_edges());
-        let sub = sub_of(&hg, &[0]);
-        let h = probe_hash(&cache, &arena, &sub, &conn, &allowed);
-        cache.insert_negative(h, &arena, &sub, &conn, &allowed);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn allowed_set_distinguishes_keys() {
-        let hg = hg4();
-        let arena = SpecialArena::new();
-        let sub = sub_of(&hg, &[0]);
-        let conn = hg.vertex_set();
-        let all = Arc::new(hg.all_edges());
-        let mut restricted = hg.all_edges();
-        restricted.remove(Edge(3));
-        let restricted = Arc::new(restricted);
-        let cache = SubproblemCache::new(1 << 20);
-        let h = probe_hash(&cache, &arena, &sub, &conn, &all);
-        cache.insert_negative(h, &arena, &sub, &conn, &all);
-        assert!(matches!(
-            cache.probe(&arena, &sub, &conn, &restricted),
-            Probe::Miss(_)
-        ));
-    }
-
-    #[test]
-    fn duplicate_inserts_keep_one_entry() {
-        let hg = hg4();
-        let arena = SpecialArena::new();
-        let conn = hg.vertex_set();
-        let allowed = Arc::new(hg.all_edges());
-        let sub = sub_of(&hg, &[0, 1]);
-        let cache = SubproblemCache::new(1 << 20);
-        let h = probe_hash(&cache, &arena, &sub, &conn, &allowed);
-        cache.insert_negative(h, &arena, &sub, &conn, &allowed);
-        let bytes_once = cache.snapshot().bytes;
-        cache.insert_negative(h, &arena, &sub, &conn, &allowed);
-        let snap = cache.snapshot();
-        assert_eq!(snap.inserts, 1);
-        assert_eq!(snap.entries, 1);
-        assert_eq!(snap.bytes, bytes_once, "duplicate must not leak bytes");
-    }
-}
+pub use decomp::{CacheSnapshot, Probe, StripedTable};

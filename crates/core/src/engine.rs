@@ -22,15 +22,16 @@
 //!   path (`⋃λ` computation, `[U]`-component splitting, balance and
 //!   cover checks) performs **zero heap allocations** in the steady
 //!   state. Allocation only happens when a fragment is actually built.
-//! * **Subproblem memoisation.** A sharded, lock-striped
-//!   [`SubproblemCache`] records `Decomp` verdicts by resolved content:
+//! * **Subproblem memoisation.** A sharded, lock-striped memo table
+//!   ([`StripedTable`]) records `Decomp` verdicts by resolved content:
 //!   exhaustive failures as negative entries, found fragments as
 //!   arena-independent positives re-interned on reuse — so the recursion
 //!   neither re-explores a refuted subproblem nor re-derives a fragment
 //!   any branch has already built. See [`crate::cache`] for the
 //!   soundness argument. The `det-k-decomp` handoffs of the hybrid mode
-//!   share one lock-striped memo table ([`detk::SharedMemo`]) the same
-//!   way, instead of rebuilding a private table per handoff.
+//!   share a second table of the same type, built at the first handoff,
+//!   instead of rebuilding a private table per handoff. Both tables are
+//!   bounded by [`EngineConfig::cache_bytes`].
 //!
 //! The λc search space is partitioned by lead edge, as in Appendix D.1,
 //! and walked lead by lead at every depth and in every variant: the leads
@@ -55,25 +56,20 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use decomp::{Control, Decomposition, Fragment, Interrupted};
-use detk::{DetKDecomp, DetkScratch, MemoSnapshot, SharedMemo};
+use detk::{DetKDecomp, DetkScratch, MemoSnapshot};
 use hypergraph::subsets::{for_each_subset_in, for_each_subset_with_lead_in, subset_space_size};
 use hypergraph::{
     separate_into, Component, Edge, EdgeSet, Hypergraph, LevelStack, Scratch, Separation,
     SpecialArena, Subproblem, VertexSet,
 };
 
-use crate::cache::{CacheSnapshot, Probe, SubproblemCache};
+use crate::cache::{CacheSnapshot, Probe, StripedTable};
 use crate::settle::SettledBy;
 
-/// Default byte budget for the subproblem cache (32 MiB),
-/// mirroring the memory-limit discipline of the paper's experiments.
-pub const DEFAULT_CACHE_BYTES: usize = 32 << 20;
-
-/// Default entry cap for the `det-k-decomp` handoff memo table.
-pub const DEFAULT_DETK_CACHE_CAP: usize = DetKDecomp::DEFAULT_CACHE_CAP;
+pub use decomp::DEFAULT_CACHE_BYTES;
 
 /// Default node-count cap for *positive* cache inserts: a found fragment
 /// is stored only when it has at most this many nodes. The cost of an
@@ -173,12 +169,10 @@ pub struct EngineConfig {
     /// child (`A_up = A \ comp_down.E`, the "allowed edges" optimisation).
     /// On by default.
     pub use_allowed_edges: bool,
-    /// Byte budget for the subproblem cache (both verdicts); `0` disables
-    /// memoisation entirely.
+    /// Byte budget of each memo table: the subproblem cache (both
+    /// verdicts) and the memo of `det-k-decomp` handoffs (Appendix D.2).
+    /// `0` disables memoisation entirely.
     pub cache_bytes: usize,
-    /// Entry cap for the memo table of `det-k-decomp` handoffs
-    /// (Appendix D.2); was previously hard-coded inside `detk`.
-    pub detk_cache_cap: usize,
     /// Ablation: reject λp candidates with cheap coverage-bitmask tests
     /// before running the BFS separation (see `PreFilter` in the module
     /// source). On by
@@ -201,7 +195,6 @@ impl EngineConfig {
             restrict_parent_search: true,
             use_allowed_edges: true,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             lambda_p_prefilter: true,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
         }
@@ -284,7 +277,8 @@ decomp::counters! {
         /// Times a pool worker parked for lack of work during the solve —
         /// idle capacity the λc race did not fill.
         sched_parks: u64 = sum,
-        /// Counters of the `det-k-decomp` memo table shared across handoffs.
+        /// Counters of the `det-k-decomp` memo table shared across
+        /// handoffs (empty when no handoff ran).
         detk_memo: MemoSnapshot = merge,
         /// Unified subproblem-cache counters (positive + negative verdicts,
         /// eviction, id rewrites).
@@ -316,8 +310,6 @@ decomp::counters! {
         arena_branch_clones: u64 = sum,
         /// Hybrid handoffs to `det-k-decomp`.
         detk_handoffs: u64 = sum,
-        /// Largest memo-table size observed across `det-k-decomp` handoffs.
-        detk_cache_peak: usize = max,
         /// λc candidates enumerated but rejected (no progress, unbalanced,
         /// or no completable parent/child pair).
         lambda_c_rejected: u64 = sum,
@@ -705,14 +697,16 @@ pub struct LogKEngine<'h> {
     /// small result, so the per-candidate cost stays proportional to the
     /// allowed set, not to `|E(H)|`.
     edge_rank: Vec<u32>,
-    /// Subproblem verdict cache. `Arc`-held so a long-running caller
+    /// Subproblem verdict cache, probed with the allowed edge set as part
+    /// of the key. `Arc`-held so a long-running caller
     /// ([`Self::with_tables`]) can share one table across solves of the
     /// same instance at the same width.
-    cache: Arc<SubproblemCache>,
+    cache: Arc<StripedTable>,
     /// One `det-k-decomp` memo table shared by every hybrid handoff and
-    /// rayon branch (previously each handoff rebuilt a private table);
-    /// `Arc`-held for the same cross-solve sharing as `cache`.
-    detk_memo: Arc<SharedMemo>,
+    /// rayon branch of this engine, probed without the allowed set. Built
+    /// at the first handoff, so engines that never hand off never build
+    /// it.
+    detk_memo: OnceLock<StripedTable>,
     /// Warm scratch bundles recycled across the leads of λc races.
     branch_pool: std::sync::Mutex<Vec<BranchScratch>>,
     /// Warm `det-k-decomp` scratch stacks recycled across hybrid
@@ -730,7 +724,34 @@ type Found = ControlFlow<Result<Fragment, Stop>>;
 impl<'h> LogKEngine<'h> {
     /// Creates an engine over `hg` with the given configuration.
     pub fn new(hg: &'h Hypergraph, ctrl: &'h Control, cfg: EngineConfig) -> Self {
+        let cache = Arc::new(StripedTable::new(cfg.k, cfg.cache_bytes));
+        Self::with_tables(hg, ctrl, cfg, cache)
+    }
+
+    /// Like [`Self::new`], but memoising into a caller-owned subproblem
+    /// cache, so verdicts survive the solve and are shared across solves
+    /// (the `htdserve` server hands repeated queries the same table).
+    ///
+    /// # Soundness contract
+    ///
+    /// Cached verdicts are relative to a hypergraph and a width bound:
+    /// `cache` must only ever be shared between engines over the **same
+    /// hypergraph** (same edge numbering) at the **same `k`**, and
+    /// `cache.k()` must equal `cfg.k` (asserted). The
+    /// `htdserve::TableHub` enforces this by keying tables by instance
+    /// content and width.
+    pub fn with_tables(
+        hg: &'h Hypergraph,
+        ctrl: &'h Control,
+        cfg: EngineConfig,
+        cache: Arc<StripedTable>,
+    ) -> Self {
         assert!(cfg.k >= 1, "width parameter k must be at least 1");
+        assert_eq!(
+            cache.k(),
+            cfg.k,
+            "a shared cache must match the engine's width bound"
+        );
         let mut order: Vec<Edge> = hg.edge_ids().collect();
         order.sort_unstable_by_key(|&e| (std::cmp::Reverse(hg.edge(e).len()), e.0));
         let mut edge_rank = vec![0u32; hg.num_edges()];
@@ -750,42 +771,11 @@ impl<'h> LogKEngine<'h> {
             cfg,
             stats: EngineStats::default(),
             edge_rank,
-            cache: Arc::new(SubproblemCache::new(cfg.cache_bytes)),
-            detk_memo: Arc::new(SharedMemo::new(cfg.k, cfg.detk_cache_cap)),
+            cache,
+            detk_memo: OnceLock::new(),
             branch_pool: std::sync::Mutex::new(Vec::new()),
             detk_pool: std::sync::Mutex::new(Vec::new()),
             lp_memo_cap,
-        }
-    }
-
-    /// Like [`Self::new`], but memoising into caller-owned tables, so
-    /// verdicts survive the solve and are shared across solves (the
-    /// `htdserve` server hands repeated queries the same pair).
-    ///
-    /// # Soundness contract
-    ///
-    /// Cached verdicts are relative to a hypergraph and a width bound:
-    /// `cache` must only ever be shared between engines over the **same
-    /// hypergraph** (same edge numbering) at the **same `k`**, and
-    /// `detk_memo.k()` must equal `cfg.k` (asserted). The
-    /// `htdserve::TableHub` enforces this by keying table pairs by
-    /// instance content and width.
-    pub fn with_tables(
-        hg: &'h Hypergraph,
-        ctrl: &'h Control,
-        cfg: EngineConfig,
-        cache: Arc<SubproblemCache>,
-        detk_memo: Arc<SharedMemo>,
-    ) -> Self {
-        assert_eq!(
-            detk_memo.k(),
-            cfg.k,
-            "shared det-k memo must match the engine's width bound"
-        );
-        LogKEngine {
-            cache,
-            detk_memo,
-            ..Self::new(hg, ctrl, cfg)
         }
     }
 
@@ -799,9 +789,17 @@ impl<'h> LogKEngine<'h> {
         self.cache.snapshot()
     }
 
-    /// Snapshot of the shared `det-k-decomp` memo-table counters.
+    /// Snapshot of the `det-k-decomp` handoff memo counters; an empty
+    /// table's when no handoff has built it.
     pub fn detk_memo_snapshot(&self) -> MemoSnapshot {
-        self.detk_memo.snapshot()
+        let snap = match self.detk_memo.get() {
+            Some(memo) => memo.snapshot(),
+            None => CacheSnapshot {
+                byte_budget: self.cfg.cache_bytes,
+                ..CacheSnapshot::default()
+            },
+        };
+        MemoSnapshot::of(self.cfg.k, &snap)
     }
 
     /// Decides `hw(H) ≤ k`, materialising a witness HD on success.
@@ -886,36 +884,32 @@ impl<'h> LogKEngine<'h> {
         // recursion levels. A negative hit fails immediately; a positive
         // hit returns the stored fragment re-interned into this branch's
         // arena — no re-derivation either way.
-        let pending = if self.cache.enabled() {
-            match self.cache.probe(arena, sub, conn, allowed) {
-                Probe::Negative => return Ok(None),
-                Probe::Positive(frag) => return Ok(Some(frag)),
-                Probe::Miss(hash) => Some(hash),
-            }
-        } else {
-            None
+        let hash = match self.cache.probe(arena, sub, conn, Some(allowed)) {
+            Probe::Hit(verdict) => return Ok(verdict),
+            Probe::Miss(hash) => hash,
         };
 
         let result = self.solve_subproblem(arena, sub, conn, allowed, depth, prune, stack);
-        if let Some(hash) = pending {
-            match &result {
-                // `Ok(None)` is only reachable by exhausting the search
-                // space: pruned or interrupted branches propagate `Err`
-                // instead, so the negative verdict is safe to share.
-                Ok(None) => self.cache.insert_negative(hash, arena, sub, conn, allowed),
-                // A found fragment is a complete witness — always safe.
-                // Only fragments up to the configured node count are
-                // stored: insert cost scales with the fragment while
-                // re-use concentrates on small ones, so memoising the
-                // big fragments of the (unique) success path would only
-                // tax trivial instances — measured by `bounded40_k2`
-                // (the low-reuse contrast in `micro/neg_cache`), with
-                // the preserved wins on `micro/pos_cache`.
-                Ok(Some(frag)) if frag.num_nodes() <= self.cfg.pos_cache_max_frag => self
-                    .cache
-                    .insert_positive(hash, arena, sub, conn, allowed, frag),
-                Ok(Some(_)) | Err(_) => {}
+        match &result {
+            // `Ok(None)` is only reachable by exhausting the search
+            // space: pruned or interrupted branches propagate `Err`
+            // instead, so the negative verdict is safe to share.
+            Ok(None) => self
+                .cache
+                .insert(hash, arena, sub, conn, Some(allowed), None),
+            // A found fragment is a complete witness — always safe.
+            // Only fragments up to the configured node count are
+            // stored: insert cost scales with the fragment while
+            // re-use concentrates on small ones, so memoising the
+            // big fragments of the (unique) success path would only
+            // tax trivial instances — measured by `bounded40_k2`
+            // (the low-reuse contrast in `micro/neg_cache`), with
+            // the preserved wins on `micro/pos_cache`.
+            Ok(Some(frag)) if frag.num_nodes() <= self.cfg.pos_cache_max_frag => {
+                self.cache
+                    .insert(hash, arena, sub, conn, Some(allowed), Some(frag))
             }
+            Ok(Some(_)) | Err(_) => {}
         }
         result
     }
@@ -952,14 +946,14 @@ impl<'h> LogKEngine<'h> {
                         DetkScratch::new()
                     });
                 let grow_before = scratch.grow_events();
+                let memo = self
+                    .detk_memo
+                    .get_or_init(|| StripedTable::new(self.cfg.k, self.cfg.cache_bytes));
                 let mut detk = DetKDecomp::new(self.hg, self.cfg.k, self.ctrl)
-                    .with_shared_memo(self.detk_memo.as_ref())
+                    .with_shared_memo(memo)
                     .with_scratch(scratch);
                 let result = detk.decompose(arena, sub, conn).map_err(Stop::External);
                 self.stats.detk_handoffs.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .detk_cache_peak
-                    .fetch_max(self.detk_memo.len(), Ordering::Relaxed);
                 let scratch = detk.take_scratch();
                 self.stats
                     .scratch_grow_events

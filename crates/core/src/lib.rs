@@ -25,10 +25,10 @@ mod tests_engine;
 mod tests_theory;
 
 pub use basic::{decompose_basic, SolveResult};
-pub use cache::{CacheSnapshot, Probe, SubproblemCache};
+pub use cache::{CacheSnapshot, StripedTable};
 pub use engine::{
     EngineConfig, EngineStats, HybridConfig, HybridMetric, LogKEngine, SolveStats,
-    DEFAULT_CACHE_BYTES, DEFAULT_DETK_CACHE_CAP,
+    DEFAULT_CACHE_BYTES,
 };
 pub use settle::{settle, Settled, SettledBy};
 pub use solver::{shared_pool, width_bounds_with, LogK, SharedTables, Variant, WidthBounds};

@@ -24,12 +24,11 @@ use decomp::{Control, Decomposition, Interrupted};
 use hypergraph::Hypergraph;
 use rayon::ThreadPool;
 
-use crate::cache::{CacheSnapshot, SubproblemCache};
+use crate::cache::{CacheSnapshot, StripedTable};
 use crate::engine::{
     EngineConfig, HybridConfig, HybridMetric, LogKEngine, SolveStats, DEFAULT_CACHE_BYTES,
-    DEFAULT_DETK_CACHE_CAP, DEFAULT_POS_CACHE_MAX_FRAG,
+    DEFAULT_POS_CACHE_MAX_FRAG,
 };
-use detk::SharedMemo;
 
 /// Process-wide cache of work-stealing pools, keyed by worker count.
 ///
@@ -60,57 +59,51 @@ pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
     }))
 }
 
-/// A cross-solve memoisation pair: the engine's [`SubproblemCache`] and
-/// the `det-k-decomp` handoff memo, `Arc`-held so repeated solves (and
-/// concurrent solves in a server) warm each other.
+/// A cross-solve subproblem cache, `Arc`-held so repeated solves (and
+/// concurrent solves in a server) warm each other. The `det-k-decomp`
+/// handoff memo is not shared: each hybrid engine builds its own at its
+/// first handoff.
 ///
 /// # Soundness contract
 ///
 /// Cached verdicts are relative to a hypergraph (its edge numbering) and
 /// a width bound `k`. A `SharedTables` value must only be used for solves
 /// of *that* instance at *that* `k`; [`LogK`] enforces this by consulting
-/// an attached pair only when the solve's `k` matches ([`Self::k`]) and —
-/// when the pair was bound to an instance with [`Self::for_instance`] —
+/// an attached table only when the solve's `k` matches ([`Self::k`]) and —
+/// when the table was bound to an instance with [`Self::for_instance`] —
 /// the solved hypergraph is the bound one (by address; the
 /// `htdserve::TableHub` canonicalises content-equal instances to one
 /// `Arc`).
 #[derive(Clone)]
 pub struct SharedTables {
-    /// Subproblem verdict cache (positive + negative, byte-budgeted).
-    cache: Arc<SubproblemCache>,
-    /// `det-k-decomp` handoff memo (entry-capped, width-checked).
-    detk_memo: Arc<SharedMemo>,
+    /// Subproblem verdict cache (positive + negative, byte-budgeted,
+    /// width-checked).
+    cache: Arc<StripedTable>,
     /// The instance the verdicts are relative to, when bound.
     hg: Option<Arc<Hypergraph>>,
 }
 
 impl SharedTables {
-    /// A fresh unbound pair for width bound `k`. The caller takes on the
+    /// A fresh unbound table for width bound `k`. The caller takes on the
     /// contract of only using it for one instance (see the type docs).
-    pub fn new(k: usize, cache_bytes: usize, detk_cache_cap: usize) -> Self {
+    pub fn new(k: usize, cache_bytes: usize) -> Self {
         SharedTables {
-            cache: Arc::new(SubproblemCache::new(cache_bytes)),
-            detk_memo: Arc::new(SharedMemo::new(k, detk_cache_cap)),
+            cache: Arc::new(StripedTable::new(k, cache_bytes)),
             hg: None,
         }
     }
 
-    /// A fresh pair bound to `hg`: solves of any other instance skip it.
-    pub fn for_instance(
-        hg: Arc<Hypergraph>,
-        k: usize,
-        cache_bytes: usize,
-        detk_cache_cap: usize,
-    ) -> Self {
+    /// A fresh table bound to `hg`: solves of any other instance skip it.
+    pub fn for_instance(hg: Arc<Hypergraph>, k: usize, cache_bytes: usize) -> Self {
         SharedTables {
             hg: Some(hg),
-            ..Self::new(k, cache_bytes, detk_cache_cap)
+            ..Self::new(k, cache_bytes)
         }
     }
 
-    /// The width bound the pair's verdicts are relative to.
+    /// The width bound the table's verdicts are relative to.
     pub fn k(&self) -> usize {
-        self.detk_memo.k()
+        self.cache.k()
     }
 
     /// Counter snapshot of the subproblem cache.
@@ -118,7 +111,7 @@ impl SharedTables {
         self.cache.snapshot()
     }
 
-    /// Whether this pair applies to a solve of `hg` at width `k`.
+    /// Whether this table applies to a solve of `hg` at width `k`.
     fn applies_to(&self, hg: &Hypergraph, k: usize) -> bool {
         self.k() == k
             && self
@@ -134,7 +127,6 @@ impl std::fmt::Debug for SharedTables {
             .field("k", &self.k())
             .field("bound", &self.hg.is_some())
             .field("cache_entries", &self.cache.len())
-            .field("memo_entries", &self.detk_memo.len())
             .finish()
     }
 }
@@ -166,19 +158,16 @@ pub struct LogK {
     pub pool: Option<Arc<ThreadPool>>,
     /// Hybrid handoff to `det-k-decomp` (Appendix D.2), if any.
     pub hybrid: Option<HybridConfig>,
-    /// Byte budget of the subproblem cache; `0` disables it.
-    /// See [`EngineConfig::cache_bytes`].
+    /// Byte budget of the subproblem cache and of the `det-k-decomp`
+    /// handoff memo; `0` disables both. See [`EngineConfig::cache_bytes`].
     pub cache_bytes: usize,
-    /// Memo-table entry cap for `det-k-decomp` handoffs.
-    /// See [`EngineConfig::detk_cache_cap`].
-    pub detk_cache_cap: usize,
     /// λp admissibility pre-filter (cheap bitset rejection before the BFS
     /// separation). See [`EngineConfig::lambda_p_prefilter`].
     pub lambda_p_prefilter: bool,
     /// Largest fragment (node count) stored by a positive cache insert.
     /// See [`EngineConfig::pos_cache_max_frag`].
     pub pos_cache_max_frag: usize,
-    /// Cross-solve memo tables attached by [`Self::with_shared_tables`];
+    /// Cross-solve subproblem cache attached by [`Self::with_shared_tables`];
     /// consulted only for solves they apply to (matching `k` and, when
     /// instance-bound, matching hypergraph).
     pub shared_tables: Option<SharedTables>,
@@ -193,7 +182,6 @@ impl LogK {
             pool: None,
             hybrid: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             lambda_p_prefilter: true,
             pos_cache_max_frag: DEFAULT_POS_CACHE_MAX_FRAG,
             shared_tables: None,
@@ -247,16 +235,10 @@ impl LogK {
         self
     }
 
-    /// Replaces the subproblem-cache budget (`0` disables
-    /// memoisation — the differential tests compare both modes).
+    /// Replaces the memo-table budget (`0` disables memoisation, det-k
+    /// handoffs included — the differential tests compare both modes).
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = bytes;
-        self
-    }
-
-    /// Replaces the `det-k-decomp` handoff memo cap.
-    pub fn with_detk_cache_cap(mut self, cap: usize) -> Self {
-        self.detk_cache_cap = cap;
         self
     }
 
@@ -274,18 +256,18 @@ impl LogK {
         self
     }
 
-    /// Attaches cross-solve memo tables: solves the pair applies to
-    /// (matching width and, for instance-bound pairs, matching
+    /// Attaches a cross-solve subproblem cache: solves it applies to
+    /// (matching width and, for an instance-bound table, matching
     /// hypergraph — see [`SharedTables`]) memoise into it instead of a
-    /// fresh per-solve pair, so repeated and concurrent solves of the
-    /// same query warm each other. Solves the pair does not apply to
-    /// silently build their own tables, keeping width sweeps sound.
+    /// fresh per-solve cache, so repeated and concurrent solves of the
+    /// same query warm each other. Solves it does not apply to silently
+    /// build their own, keeping width sweeps sound.
     pub fn with_shared_tables(mut self, tables: SharedTables) -> Self {
         self.shared_tables = Some(tables);
         self
     }
 
-    /// The attached table pair, when it applies to this solve.
+    /// The attached table, when it applies to this solve.
     fn tables_for(&self, hg: &Hypergraph, k: usize) -> Option<SharedTables> {
         self.shared_tables
             .as_ref()
@@ -294,7 +276,7 @@ impl LogK {
     }
 
     /// Builds the engine for one solve, routing memoisation into the
-    /// attached shared tables when they apply.
+    /// attached shared cache when it applies.
     fn build_engine<'h>(
         &self,
         hg: &'h Hypergraph,
@@ -302,7 +284,7 @@ impl LogK {
         cfg: EngineConfig,
     ) -> LogKEngine<'h> {
         match self.tables_for(hg, cfg.k) {
-            Some(t) => LogKEngine::with_tables(hg, ctrl, cfg, t.cache, t.detk_memo),
+            Some(t) => LogKEngine::with_tables(hg, ctrl, cfg, t.cache),
             None => LogKEngine::new(hg, ctrl, cfg),
         }
     }
@@ -312,7 +294,6 @@ impl LogK {
             parallel: matches!(self.variant, Variant::Parallel),
             hybrid: self.hybrid,
             cache_bytes: self.cache_bytes,
-            detk_cache_cap: self.detk_cache_cap,
             lambda_p_prefilter: self.lambda_p_prefilter,
             pos_cache_max_frag: self.pos_cache_max_frag,
             ..EngineConfig::sequential(k)
@@ -523,7 +504,7 @@ impl std::fmt::Display for WidthBounds {
 /// positive instances), yielding a genuine `lower ≤ hw ≤ upper` window.
 /// Only when `ctrl` itself fires does the sweep stop. `solver_for(k)`
 /// picks the solver per width — the `htdserve` server uses it to route
-/// each width to its width-matched shared table pair.
+/// each width to its width-matched shared cache.
 pub fn width_bounds_with(
     hg: &Hypergraph,
     k_max: usize,

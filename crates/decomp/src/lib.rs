@@ -10,9 +10,9 @@
 //!   to vertex sets), the storable form shared by the memoisation caches;
 //! * [`rewrite`] — the set-preserving special-id claims behind cache
 //!   re-interning;
-//! * [`striped`] — the lock-striped, borrowed-key table core both
-//!   memoisation caches (the engine's subproblem cache and det-k's
-//!   shared memo) instantiate, with pluggable retention policies;
+//! * [`striped`] — the memo table of subproblem verdicts: lock-striped,
+//!   borrowed-key, CLOCK-evicting under a byte budget; the engine's
+//!   subproblem cache and det-k's memo are both instances;
 //! * [`validate`] — exact checkers for the GHD conditions, the HD special
 //!   condition, the six conditions of Definition 3.3 (HDs of extended
 //!   subhypergraphs), and the normal form of Definition 3.5.
@@ -36,7 +36,7 @@ pub use export::{to_dtd_text, to_gml};
 pub use fragment::{FragLabel, FragNode, Fragment};
 pub use portable::{specials_multiset_match, PortableFragment, PortableLabel, PortableNode};
 pub use rewrite::SpecialClaims;
-pub use striped::{ClockEviction, EntryCap, InsertOutcome, Retention, StripedKey, StripedTable};
+pub use striped::{CacheSnapshot, Probe, StripedTable, DEFAULT_CACHE_BYTES};
 pub use tree::{Decomposition, Node, NodeId};
 pub use validate::{
     is_normal_form, validate_extended_hd, validate_ghd, validate_hd, validate_hd_width, Violation,

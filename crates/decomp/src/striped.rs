@@ -1,10 +1,9 @@
-//! The shared lock-striped, borrowed-key table core behind both
-//! memoisation tables of the workspace — the engine's
-//! `SubproblemCache` (negative + positive `Decomp` verdicts, CLOCK
-//! eviction) and `det-k-decomp`'s `SharedMemo` (per-`(component,
-//! connector)` verdicts, entry cap). Both tables memoise the same kind of
-//! key — a resolved extended subproblem — with the same concurrency
-//! discipline; this module is that discipline, written once:
+//! The memo table of the workspace: one lock-striped, borrowed-key table
+//! of subproblem verdicts, used by the engine's subproblem cache and by
+//! `det-k-decomp`'s per-`(component, connector)` memo alike. Both memoise
+//! the same kind of key — a resolved extended subproblem — and the same
+//! kind of value — "exhaustively refuted", or a witness fragment — under
+//! the same concurrency discipline and the same byte budget:
 //!
 //! * **Resolved keys.** Special edges are keyed by *vertex set*, not by
 //!   branch-local [`SpecialArena`] id: ids mean different sets in
@@ -13,33 +12,42 @@
 //!   ([`specials_multiset_match`]) without sorting. The optional
 //!   `allowed` edge alphabet participates in the key behind an [`Arc`]
 //!   shared with the prober's recursion, so storing a key bumps a
-//!   refcount instead of cloning the set.
+//!   refcount instead of cloning the set. The engine cache keys on it;
+//!   the det-k memo probes with `None`.
+//! * **Portable values.** A found fragment is stored arena-independent
+//!   ([`PortableFragment`]); a hit re-interns it against the prober's
+//!   arena by a set-preserving id-rewrite pass, so a witness found in one
+//!   branch, handoff or solve is reused verbatim by every other.
+//! * **One width bound.** A table records the `k` its verdicts hold for
+//!   ([`StripedTable::k`]); "refuted at k" and "a witness of width ≤ k"
+//!   mean nothing at another bound, so every engine asserts `k` when a
+//!   table is attached.
 //! * **Borrowed-key probes.** A lookup never builds an owned key: it
 //!   hashes the borrowed `(edges, specials, conn[, allowed])` directly —
 //!   per-special hashes are combined *commutatively* (`wrapping_add`), so
 //!   the unsorted branch-local view and the sorted stored key hash
 //!   identically without a sort buffer — and walks the hash's bucket
-//!   comparing stored entries against the borrowed data. Hits and misses
-//!   allocate nothing.
-//! * **Owned-key-on-insert.** The owned [`StripedKey`] is built exactly
-//!   once, when a verdict is actually stored. The probe hands its hash
-//!   back on a miss so the follow-up insert does not recompute it.
+//!   comparing stored entries against the borrowed data. A hit clones one
+//!   `Arc` under the shard lock; the re-interning pass runs unlocked.
+//! * **Owned-key-on-insert.** The owned key is built exactly once, when a
+//!   verdict is actually stored. The probe hands its hash back on a miss
+//!   so the follow-up insert does not recompute it.
 //! * **Lock striping.** Keys are spread over [`SHARDS`] mutex shards by
 //!   hash; parallel branches rarely contend on the same lock, and
-//!   poisoned locks are ignored (the tables hold no invariants across a
+//!   poisoned locks are ignored (the table holds no invariants across a
 //!   panicking insert).
 //! * **Under-lock dedup.** An insert whose key is already present (a
-//!   racing branch beat us) keeps the incumbent and reports
-//!   [`InsertOutcome::Duplicate`] — entry counts and byte budgets never
-//!   leak on the race.
-//!
-//! What stays *outside* the core is the [`Retention`] policy — the one
-//! place the two tables genuinely differ. The engine cache evicts under a
-//! byte budget with a per-shard second-chance (CLOCK) sweep
-//! ([`ClockEviction`]); the det-k memo freezes inserts past an entry cap
-//! ([`EntryCap`]). Policies run under the shard lock and account against
-//! the table-wide [`TableTotals`], so the cap/budget stays exact under
-//! concurrent inserts.
+//!   racing branch beat us) keeps the incumbent — entry counts and the
+//!   byte budget never leak on the race.
+//! * **CLOCK eviction under a byte budget.** Each entry is charged its
+//!   estimated key and fragment bytes. When an insert would overflow the
+//!   budget, the shard runs a second-chance sweep: entries touched since
+//!   the last sweep get their reference bit cleared, cold entries are
+//!   evicted until the new entry fits. An entry larger than the whole
+//!   budget is rejected before anything is evicted. Bytes are reserved
+//!   atomically before the sweep, so the budget holds exactly under
+//!   concurrent inserts on different shards. A budget of `0` disables
+//!   the table: every probe misses and every insert is dropped.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
@@ -48,17 +56,21 @@ use std::sync::{Arc, Mutex};
 
 use hypergraph::{EdgeSet, SpecialArena, Subproblem, VertexSet};
 
-use crate::portable::specials_multiset_match;
+use crate::fragment::Fragment;
+use crate::portable::{specials_multiset_match, PortableFragment};
 
 /// Number of lock stripes. Keys spread uniformly by hash, so per-shard
 /// pressure tracks global pressure.
 pub const SHARDS: usize = 16;
 
+/// Default byte budget of a memo table (32 MiB), mirroring the
+/// memory-limit discipline of the paper's experiments.
+pub const DEFAULT_CACHE_BYTES: usize = 32 << 20;
+
 /// Canonical identity of a memoised subproblem: resolved edges, specials
-/// (sorted vertex sets), connector, and optionally the allowed λ alphabet
-/// (the engine cache keys on it; the det-k memo does not).
+/// (sorted vertex sets), connector, and optionally the allowed λ alphabet.
 #[derive(Debug)]
-pub struct StripedKey {
+struct StripedKey {
     edges: EdgeSet,
     /// Special edges resolved to vertex sets, sorted canonically.
     specials: Vec<VertexSet>,
@@ -70,7 +82,7 @@ pub struct StripedKey {
 
 impl StripedKey {
     /// Builds the owned (canonical) key from the borrowed probe parts.
-    pub fn build(
+    fn build(
         arena: &SpecialArena,
         sub: &Subproblem,
         conn: &VertexSet,
@@ -87,11 +99,11 @@ impl StripedKey {
         }
     }
 
-    /// Estimated heap footprint in bytes (for byte-budget policies). The
-    /// `allowed` set is physically shared via `Arc` but counted in full —
-    /// a conservative over-estimate that can only make eviction earlier,
-    /// never let a cache overrun its budget.
-    pub fn approx_bytes(&self) -> usize {
+    /// Estimated heap footprint in bytes. The `allowed` set is physically
+    /// shared via `Arc` but counted in full — a conservative over-estimate
+    /// that can only make eviction earlier, never let a table overrun its
+    /// budget.
+    fn approx_bytes(&self) -> usize {
         let set_bytes = |s: &EdgeSet| s.capacity().div_ceil(64) * 8 + 32;
         let vset_bytes = |s: &VertexSet| s.capacity().div_ceil(64) * 8 + 32;
         set_bytes(&self.edges)
@@ -122,42 +134,35 @@ impl StripedKey {
     }
 }
 
-/// One stored entry: the key, the caller's value, and the retention
-/// bookkeeping ([`ClockEviction`]'s cost charge and reference bit).
-pub struct Entry<V> {
+/// A stored verdict: `None` = exhaustively refuted, `Some` = a witness,
+/// `Arc`-wrapped so a hit can leave the shard lock before the
+/// re-interning clone pass runs — parallel branches must not convoy
+/// behind fragment clones.
+type Verdict = Option<Arc<PortableFragment>>;
+
+/// One stored entry: key, verdict, the byte cost charged against the
+/// budget, and the CLOCK reference bit.
+struct Entry {
     hash: u64,
     key: StripedKey,
-    value: V,
-    /// Byte cost charged against a byte budget when this entry was
-    /// stored (unused by count-based policies).
+    verdict: Verdict,
     cost: usize,
-    /// CLOCK reference bit: set on every hit, cleared (second chance) by
-    /// the eviction sweep.
+    /// Set on every hit, cleared (second chance) by the eviction sweep.
     referenced: bool,
 }
 
 /// One lock stripe: a slab of entries plus a hash → slot index. The slab
-/// gives a CLOCK hand a stable circular order, which a plain `HashMap`
+/// gives the CLOCK hand a stable circular order, which a plain `HashMap`
 /// iteration cannot.
-pub struct Shard<V> {
-    slots: Vec<Option<Entry<V>>>,
+#[derive(Default)]
+struct Shard {
+    slots: Vec<Option<Entry>>,
     free: Vec<u32>,
     index: HashMap<u64, Vec<u32>>,
     hand: usize,
 }
 
-impl<V> Default for Shard<V> {
-    fn default() -> Self {
-        Shard {
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            hand: 0,
-        }
-    }
-}
-
-impl<V> Shard<V> {
+impl Shard {
     fn find(
         &self,
         hash: u64,
@@ -175,7 +180,7 @@ impl<V> Shard<V> {
         })
     }
 
-    fn remove_slot(&mut self, id: u32) -> Entry<V> {
+    fn remove_slot(&mut self, id: u32) -> Entry {
         let entry = self.slots[id as usize].take().expect("slot occupied");
         if let Some(ids) = self.index.get_mut(&entry.hash) {
             ids.retain(|&i| i != id);
@@ -187,7 +192,7 @@ impl<V> Shard<V> {
         entry
     }
 
-    fn place(&mut self, entry: Entry<V>) {
+    fn place(&mut self, entry: Entry) {
         let hash = entry.hash;
         let id = match self.free.pop() {
             Some(id) => {
@@ -204,197 +209,103 @@ impl<V> Shard<V> {
     }
 }
 
-/// Table-wide counters shared between the core and its retention policy.
-/// The policy reserves entries/bytes atomically in `admit` (and releases
-/// them on eviction), so caps and budgets hold exactly even when inserts
-/// race on different shards.
-#[derive(Debug, Default)]
-pub struct TableTotals {
-    entries: AtomicUsize,
-    bytes: AtomicUsize,
-    evictions: AtomicU64,
-}
-
-impl TableTotals {
-    /// Entries currently stored.
-    pub fn entries(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+crate::counters! {
+    /// A point-in-time snapshot of a [`StripedTable`], for stats
+    /// reporting.
+    pub struct CacheSnapshot {
+        /// Entries evicted by the second-chance sweep.
+        evictions: u64 = sum,
+        /// Entries currently stored.
+        entries: usize = max,
+        /// Estimated bytes currently stored.
+        bytes: usize = max,
+        /// Configured byte budget (0 = table disabled).
+        byte_budget: usize = max,
     }
 
-    /// Estimated bytes currently stored (byte-budget policies only).
-    pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted so far (evicting policies only).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-}
-
-/// A pluggable retention policy: decides admission (possibly evicting)
-/// and marks hits. Called under the owning shard's lock.
-pub trait Retention: Send + Sync {
-    /// Admits an entry of `cost` bytes into `shard`, evicting as the
-    /// policy allows; returns `false` to reject the insert. On success
-    /// the policy must have *reserved* the entry in `totals` (entry
-    /// count, and bytes if it budgets them) atomically — reservation
-    /// inside `admit` is what keeps caps exact when inserts race on
-    /// different shards; the table only places the entry afterwards.
-    fn admit<V>(&self, shard: &mut Shard<V>, cost: usize, totals: &TableTotals) -> bool;
-
-    /// Marks a probe hit (e.g. sets the CLOCK reference bit).
-    fn on_hit<V>(&self, _entry: &mut Entry<V>) {}
-}
-
-/// Byte-budgeted retention with a per-shard second-chance (CLOCK) sweep:
-/// when an insert would overflow the budget, entries touched since the
-/// last sweep get their reference bit cleared (a second chance) and cold
-/// entries are evicted until the new entry fits. Hot entries survive
-/// memory pressure; the first-come set cannot squat the budget.
-#[derive(Debug)]
-pub struct ClockEviction {
-    byte_budget: usize,
-}
-
-impl ClockEviction {
-    /// Policy bounded by `byte_budget` bytes.
-    pub fn new(byte_budget: usize) -> Self {
-        ClockEviction { byte_budget }
-    }
-
-    /// The configured byte budget.
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
-    /// Second-chance sweep over one shard: referenced entries are spared
-    /// once (bit cleared), unreferenced entries are evicted, until the
-    /// global footprint fits the budget or two full revolutions have
-    /// given every entry its chance.
-    fn sweep<V>(&self, shard: &mut Shard<V>, totals: &TableTotals) {
-        let n = shard.slots.len();
-        let mut steps = 0usize;
-        while steps < 2 * n && totals.bytes.load(Ordering::Relaxed) > self.byte_budget {
-            let i = shard.hand % n;
-            shard.hand = (shard.hand + 1) % n.max(1);
-            steps += 1;
-            let Some(entry) = shard.slots[i].as_mut() else {
-                continue;
-            };
-            if entry.referenced {
-                entry.referenced = false;
-                continue;
-            }
-            let evicted = shard.remove_slot(i as u32);
-            totals.bytes.fetch_sub(evicted.cost, Ordering::Relaxed);
-            totals.entries.fetch_sub(1, Ordering::Relaxed);
-            totals.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    /// The live lookup and insert counters of a [`StripedTable`],
+    /// shared across rayon branches.
+    atomic Counters {
+        /// Lookups answered with a reusable fragment.
+        pos_hits: u64 = sum,
+        /// Lookups answered "known unsolvable".
+        neg_hits: u64 = sum,
+        /// Lookups that found nothing.
+        misses: u64 = sum,
+        /// Entries inserted.
+        inserts: u64 = sum,
+        /// Insertions dropped because the entry did not fit: larger than
+        /// the whole budget, or eviction could not make room.
+        rejected: u64 = sum,
+        /// Special-leaf id rewrites performed while re-interning positive
+        /// fragments into prober arenas.
+        id_rewrites: u64 = sum,
     }
 }
 
-impl Retention for ClockEviction {
-    fn admit<V>(&self, shard: &mut Shard<V>, cost: usize, totals: &TableTotals) -> bool {
-        // Reserve-then-sweep keeps the budget exact under concurrent
-        // inserts; the sweep frees cold entries of this shard until the
-        // new entry fits.
-        let prev = totals.bytes.fetch_add(cost, Ordering::Relaxed);
-        if prev + cost > self.byte_budget {
-            self.sweep(shard, totals);
-            if totals.bytes.load(Ordering::Relaxed) > self.byte_budget {
-                totals.bytes.fetch_sub(cost, Ordering::Relaxed);
-                return false;
-            }
-        }
-        totals.entries.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    fn on_hit<V>(&self, entry: &mut Entry<V>) {
-        entry.referenced = true;
+impl CacheSnapshot {
+    /// Total hits, positive and negative.
+    pub fn hits(&self) -> u64 {
+        self.pos_hits + self.neg_hits
     }
 }
 
-/// Count-capped retention, mirroring the paper's memory-limit discipline
-/// for `det-k-decomp`: past the cap the table keeps serving hits but
-/// stops memoising. Never evicts.
-#[derive(Debug)]
-pub struct EntryCap {
-    cap: usize,
+/// Result of a [`StripedTable::probe`].
+pub enum Probe {
+    /// Memoised verdict: `None` (refuted) or the stored fragment
+    /// re-interned against the prober's arena.
+    Hit(Option<Fragment>),
+    /// Unknown; carries the key hash so the follow-up insert does not
+    /// recompute it.
+    Miss(u64),
 }
 
-impl EntryCap {
-    /// Policy capped at `cap` entries.
-    pub fn new(cap: usize) -> Self {
-        EntryCap { cap }
-    }
-
-    /// The configured entry cap.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-}
-
-impl Retention for EntryCap {
-    fn admit<V>(&self, _shard: &mut Shard<V>, _cost: usize, totals: &TableTotals) -> bool {
-        // Atomic reserve: a check-then-act on the shared count would let
-        // concurrent inserts on *different* shards all pass the check
-        // and overshoot the cap by up to the shard count.
-        totals
-            .entries
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.cap).then_some(n + 1)
-            })
-            .is_ok()
-    }
-}
-
-/// Outcome of a [`StripedTable::insert`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The entry was stored.
-    Inserted,
-    /// An equal key was already present (a racing branch beat us); the
-    /// incumbent is kept.
-    Duplicate,
-    /// The retention policy could not make room.
-    Rejected,
-}
-
-/// The shared striped-table core, generic over the stored value and the
-/// retention policy. See the module docs for the invariants.
-pub struct StripedTable<V, R> {
-    shards: Vec<Mutex<Shard<V>>>,
+/// The memo table. See the module docs for the invariants.
+pub struct StripedTable {
+    shards: Vec<Mutex<Shard>>,
     hasher: RandomState,
-    totals: TableTotals,
-    policy: R,
+    /// Width bound the stored verdicts hold for.
+    k: usize,
+    byte_budget: usize,
+    /// Reserved atomically under a shard lock by every admitted insert
+    /// and released on eviction, so the budget holds exactly even when
+    /// inserts race on different shards.
+    bytes: AtomicUsize,
+    entries: AtomicUsize,
+    evictions: AtomicU64,
+    counters: Counters,
 }
 
-impl<V, R: Retention> StripedTable<V, R> {
-    /// Creates an empty table under `policy`.
-    pub fn new(policy: R) -> Self {
+impl StripedTable {
+    /// An empty table for verdicts at width bound `k`, bounded by
+    /// `byte_budget` bytes; `0` disables it.
+    pub fn new(k: usize, byte_budget: usize) -> Self {
         StripedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             hasher: RandomState::new(),
-            totals: TableTotals::default(),
-            policy,
+            k,
+            byte_budget,
+            bytes: AtomicUsize::new(0),
+            entries: AtomicUsize::new(0),
+            evictions: AtomicU64::new(0),
+            counters: Counters::default(),
         }
     }
 
-    /// The retention policy (for wrappers exposing its configuration).
-    pub fn policy(&self) -> &R {
-        &self.policy
+    /// The width bound the stored verdicts hold for.
+    pub fn k(&self) -> usize {
+        self.k
     }
 
-    /// The table-wide counters (entries, bytes, evictions).
-    pub fn totals(&self) -> &TableTotals {
-        &self.totals
+    /// Whether lookups can ever hit.
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.byte_budget > 0
     }
 
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        self.totals.entries()
+        self.entries.load(Ordering::Relaxed)
     }
 
     /// Whether the table holds no entries.
@@ -406,7 +317,7 @@ impl<V, R: Retention> StripedTable<V, R> {
     /// with a commutative `wrapping_add`, so the canonical (sorted)
     /// stored key and the unsorted branch-local view hash identically
     /// without materialising a sorted buffer.
-    pub fn hash_key(
+    fn hash_key(
         &self,
         arena: &SpecialArena,
         sub: &Subproblem,
@@ -425,37 +336,65 @@ impl<V, R: Retention> StripedTable<V, R> {
         h ^ sp
     }
 
-    /// Borrowed-key probe: hashes the borrowed parts, and on a hit marks
-    /// the entry via the policy and returns `read`'s view of the stored
-    /// value — `read` runs under the shard lock, so it should only take a
-    /// cheap handle (e.g. clone an `Arc`), never walk the value. Returns
-    /// the key hash either way, so a miss's follow-up insert does not
-    /// recompute it.
-    pub fn probe_with<T>(
+    fn shard(&self, hash: u64) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[(hash as usize) % SHARDS]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Looks up the subproblem without building an owned key. A positive
+    /// hit is re-interned against `arena` (special-leaf ids rewritten to
+    /// `sub.specials`). A disabled table misses without hashing (the
+    /// returned hash is unused: its inserts are dropped).
+    pub fn probe(
         &self,
         arena: &SpecialArena,
         sub: &Subproblem,
         conn: &VertexSet,
         allowed: Option<&Arc<EdgeSet>>,
-        read: impl FnOnce(&V) -> T,
-    ) -> (u64, Option<T>) {
+    ) -> Probe {
+        if !self.enabled() {
+            return Probe::Miss(0);
+        }
         let hash = self.hash_key(arena, sub, conn, allowed.map(Arc::as_ref));
-        let mut shard = self.shards[(hash as usize) % SHARDS]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let hit = shard.find(hash, arena, sub, conn, allowed).map(|id| {
-            let entry = shard.slots[id as usize].as_mut().expect("found slot");
-            self.policy.on_hit(entry);
-            read(&entry.value)
-        });
-        (hash, hit)
+        // Under the lock: find, mark referenced, and clone the verdict's
+        // `Arc` handle. The re-interning runs unlocked.
+        let hit = {
+            let mut shard = self.shard(hash);
+            shard.find(hash, arena, sub, conn, allowed).map(|id| {
+                let entry = shard.slots[id as usize].as_mut().expect("found slot");
+                entry.referenced = true;
+                entry.verdict.clone()
+            })
+        };
+        match hit {
+            Some(None) => {
+                self.counters.neg_hits.fetch_add(1, Ordering::Relaxed);
+                return Probe::Hit(None);
+            }
+            Some(Some(pf)) => {
+                if let Some((frag, rewrites)) = pf.instantiate(arena, &sub.specials) {
+                    self.counters.pos_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters
+                        .id_rewrites
+                        .fetch_add(rewrites, Ordering::Relaxed);
+                    return Probe::Hit(Some(frag));
+                }
+                // A matched key must instantiate: the leaf multiset
+                // equals the key's specials equals the probe's.
+                debug_assert!(false, "matched positive entry failed to instantiate");
+            }
+            None => {}
+        }
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        Probe::Miss(hash)
     }
 
-    /// Stores `value` under the borrowed key (the owned [`StripedKey`] is
-    /// built here — the single owned-key construction of the table's
-    /// lifecycle). `value_cost` is the value's byte footprint for
-    /// byte-budget policies; the key's own footprint is added internally.
-    #[allow(clippy::too_many_arguments)]
+    /// Memoises the verdict for the subproblem (`hash` from its
+    /// [`Probe::Miss`]): `None` records an exhaustive refutation, `Some`
+    /// a found fragment, resolved to arena-independent form. Only verdicts
+    /// of a search that ran to completion may be stored — a pruned or
+    /// interrupted search has no verdict.
     pub fn insert(
         &self,
         hash: u64,
@@ -463,42 +402,108 @@ impl<V, R: Retention> StripedTable<V, R> {
         sub: &Subproblem,
         conn: &VertexSet,
         allowed: Option<&Arc<EdgeSet>>,
-        value: V,
-        value_cost: usize,
-    ) -> InsertOutcome {
+        verdict: Option<&Fragment>,
+    ) {
+        if !self.enabled() {
+            return;
+        }
+        let verdict = verdict.map(|frag| {
+            let portable = PortableFragment::from_fragment(frag, arena);
+            debug_assert_eq!(
+                portable.num_special_leaves(),
+                sub.specials.len(),
+                "a fragment covers each special of its subproblem by one leaf"
+            );
+            Arc::new(portable)
+        });
         let key = StripedKey::build(arena, sub, conn, allowed);
-        let cost = key.approx_bytes() + value_cost;
-        let mut shard = self.shards[(hash as usize) % SHARDS]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let cost =
+            key.approx_bytes() + verdict.as_deref().map_or(0, PortableFragment::approx_bytes);
+        let mut shard = self.shard(hash);
         // Fault site *inside* the critical section: an injected panic
         // here poisons the shard mutex mid-insert — the exact scenario
         // the `unwrap_or_else(into_inner)` recovery pattern exists for.
         // (The shard's state is still coherent: nothing was mutated yet.)
         crate::faults::hit("striped/insert_locked");
         if shard.find(hash, arena, sub, conn, allowed).is_some() {
-            return InsertOutcome::Duplicate;
+            return; // a racing branch beat us: keep the incumbent
         }
-        if !self.policy.admit(&mut shard, cost, &self.totals) {
-            return InsertOutcome::Rejected;
+        if !self.admit(&mut shard, cost) {
+            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        // `admit` reserved the entry in the totals; placing it cannot
-        // fail past this point.
         shard.place(Entry {
             hash,
             key,
-            value,
+            verdict,
             cost,
             referenced: false,
         });
-        InsertOutcome::Inserted
+        self.counters.inserts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Reserves `cost` bytes and one entry for an insert into `shard`,
+    /// sweeping the shard when the budget would overflow; `false` rejects
+    /// the insert with nothing reserved. An entry that could never fit is
+    /// rejected before the sweep, which would otherwise evict every cold
+    /// entry of the shard for nothing.
+    fn admit(&self, shard: &mut Shard, cost: usize) -> bool {
+        if cost > self.byte_budget {
+            return false;
+        }
+        let prev = self.bytes.fetch_add(cost, Ordering::Relaxed);
+        if prev + cost > self.byte_budget {
+            self.sweep(shard);
+            if self.bytes.load(Ordering::Relaxed) > self.byte_budget {
+                self.bytes.fetch_sub(cost, Ordering::Relaxed);
+                return false;
+            }
+        }
+        self.entries.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Second-chance sweep over one shard: referenced entries are spared
+    /// once (bit cleared), unreferenced entries are evicted, until the
+    /// global footprint fits the budget or two full revolutions have
+    /// given every entry its chance.
+    fn sweep(&self, shard: &mut Shard) {
+        let n = shard.slots.len();
+        let mut steps = 0usize;
+        while steps < 2 * n && self.bytes.load(Ordering::Relaxed) > self.byte_budget {
+            let i = shard.hand % n;
+            shard.hand = (shard.hand + 1) % n.max(1);
+            steps += 1;
+            let Some(entry) = shard.slots[i].as_mut() else {
+                continue;
+            };
+            if entry.referenced {
+                entry.referenced = false;
+                continue;
+            }
+            let evicted = shard.remove_slot(i as u32);
+            self.bytes.fetch_sub(evicted.cost, Ordering::Relaxed);
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Point-in-time snapshot of counters and footprint.
+    pub fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            evictions: self.evictions.load(Ordering::Relaxed),
+            entries: self.len(),
+            bytes: self.bytes.load(Ordering::Relaxed),
+            byte_budget: self.byte_budget,
+            ..self.counters.snapshot()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypergraph::{Edge, Hypergraph};
+    use hypergraph::{Edge, Hypergraph, Vertex};
 
     fn hg4() -> Hypergraph {
         Hypergraph::from_edge_lists(&[vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 0]])
@@ -512,22 +517,100 @@ mod tests {
         sub
     }
 
+    fn miss_hash(probe: Probe) -> u64 {
+        match probe {
+            Probe::Miss(h) => h,
+            Probe::Hit(_) => panic!("expected a miss"),
+        }
+    }
+
+    fn key_cost(arena: &SpecialArena, sub: &Subproblem, conn: &VertexSet) -> usize {
+        StripedKey::build(arena, sub, conn, None).approx_bytes()
+    }
+
+    /// Three keys of one shard (the sweep is per-shard), found among the
+    /// two-edge subproblems of a 12-cycle: 66 keys over 16 shards must
+    /// put three in one, whatever the run's hash seed.
+    fn same_shard_triple(
+        hg: &Hypergraph,
+        table: &StripedTable,
+        arena: &SpecialArena,
+    ) -> Vec<(Subproblem, u64)> {
+        let conn = hg.vertex_set();
+        let mut by_shard: Vec<Vec<(Subproblem, u64)>> = (0..SHARDS).map(|_| Vec::new()).collect();
+        for i in 0..12u32 {
+            for j in i + 1..12 {
+                let sub = sub_of(hg, &[i, j]);
+                let h = miss_hash(table.probe(arena, &sub, &conn, None));
+                by_shard[(h as usize) % SHARDS].push((sub, h));
+            }
+        }
+        let mut triple = by_shard
+            .into_iter()
+            .find(|v| v.len() >= 3)
+            .expect("66 keys over 16 shards must collide");
+        triple.truncate(3);
+        triple
+    }
+
+    fn cycle12() -> Hypergraph {
+        let edges: Vec<Vec<u32>> = (0..12u32).map(|i| vec![i, (i + 1) % 12]).collect();
+        Hypergraph::from_edge_lists(&edges)
+    }
+
     #[test]
-    fn borrowed_probe_and_insert_roundtrip_without_allowed() {
+    fn negative_verdict_roundtrips_and_counts() {
         let hg = hg4();
         let arena = SpecialArena::new();
         let conn = hg.vertex_set();
-        let table: StripedTable<u32, EntryCap> = StripedTable::new(EntryCap::new(8));
+        let table = StripedTable::new(2, 1 << 20);
         let sub = sub_of(&hg, &[0, 1]);
-        let (hash, hit) = table.probe_with(&arena, &sub, &conn, None, |&v| v);
-        assert_eq!(hit, None);
-        assert_eq!(
-            table.insert(hash, &arena, &sub, &conn, None, 17, 0),
-            InsertOutcome::Inserted
-        );
-        let (_, hit) = table.probe_with(&arena, &sub, &conn, None, |&v| v);
-        assert_eq!(hit, Some(17));
-        assert_eq!(table.len(), 1);
+        let hash = miss_hash(table.probe(&arena, &sub, &conn, None));
+        table.insert(hash, &arena, &sub, &conn, None, None);
+        assert!(matches!(
+            table.probe(&arena, &sub, &conn, None),
+            Probe::Hit(None)
+        ));
+        let other = sub_of(&hg, &[0, 2]);
+        assert!(matches!(
+            table.probe(&arena, &other, &conn, None),
+            Probe::Miss(_)
+        ));
+        let snap = table.snapshot();
+        assert_eq!((snap.neg_hits, snap.misses, snap.inserts), (1, 2, 1));
+        assert_eq!(snap.entries, 1);
+        assert_eq!(snap.bytes, key_cost(&arena, &sub, &conn));
+        assert_eq!(table.k(), 2);
+    }
+
+    #[test]
+    fn positive_fragment_reinterns_across_arenas() {
+        let hg = Hypergraph::from_edge_lists(&[vec![0, 1], vec![1, 2], vec![2, 3]]);
+        let n = hg.num_vertices();
+        let conn = hg.vertex_set();
+        let mut a1 = SpecialArena::new();
+        let s1 = a1.push(VertexSet::from_iter(n, [Vertex(0), Vertex(3)]));
+        let mut sub1 = sub_of(&hg, &[1]);
+        sub1.specials.push(s1);
+        // The same vertex set under a different id in another arena.
+        let mut a2 = SpecialArena::new();
+        let _pad = a2.push(VertexSet::from_iter(n, [Vertex(2)]));
+        let s2 = a2.push(VertexSet::from_iter(n, [Vertex(0), Vertex(3)]));
+        let mut sub2 = sub_of(&hg, &[1]);
+        sub2.specials.push(s2);
+
+        let mut frag = Fragment::leaf(vec![Edge(1)], hg.union_of_slice(&[Edge(1)]));
+        frag.attach_under(0, Fragment::special_leaf(s1, a1.get(s1).clone()));
+        let table = StripedTable::new(2, 1 << 20);
+        let hash = miss_hash(table.probe(&a1, &sub1, &conn, None));
+        table.insert(hash, &a1, &sub1, &conn, None, Some(&frag));
+
+        match table.probe(&a2, &sub2, &conn, None) {
+            Probe::Hit(Some(got)) => assert_eq!(got.find_special_leaf(s2), Some(1)),
+            _ => panic!("the resolved key must hit across arenas"),
+        }
+        let snap = table.snapshot();
+        assert_eq!((snap.pos_hits, snap.id_rewrites), (1, 1));
     }
 
     #[test]
@@ -535,44 +618,20 @@ mod tests {
         let hg = hg4();
         let arena = SpecialArena::new();
         let conn = hg.vertex_set();
-        let table: StripedTable<u32, EntryCap> = StripedTable::new(EntryCap::new(8));
+        let table = StripedTable::new(2, 1 << 20);
         let sub = sub_of(&hg, &[2]);
-        let (hash, _) = table.probe_with(&arena, &sub, &conn, None, |&v| v);
-        assert_eq!(
-            table.insert(hash, &arena, &sub, &conn, None, 1, 0),
-            InsertOutcome::Inserted
+        let hash = miss_hash(table.probe(&arena, &sub, &conn, None));
+        table.insert(hash, &arena, &sub, &conn, None, None);
+        let bytes_once = table.snapshot().bytes;
+        let frag = Fragment::leaf(vec![Edge(2)], hg.union_of_slice(&[Edge(2)]));
+        table.insert(hash, &arena, &sub, &conn, None, Some(&frag));
+        assert!(
+            matches!(table.probe(&arena, &sub, &conn, None), Probe::Hit(None)),
+            "the racing insert must not replace the verdict"
         );
-        assert_eq!(
-            table.insert(hash, &arena, &sub, &conn, None, 2, 0),
-            InsertOutcome::Duplicate
-        );
-        let (_, hit) = table.probe_with(&arena, &sub, &conn, None, |&v| v);
-        assert_eq!(hit, Some(1), "the racing insert must not replace the value");
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn entry_cap_freezes_inserts_but_keeps_serving() {
-        let hg = hg4();
-        let arena = SpecialArena::new();
-        let conn = hg.vertex_set();
-        let table: StripedTable<u32, EntryCap> = StripedTable::new(EntryCap::new(1));
-        let first = sub_of(&hg, &[0]);
-        let second = sub_of(&hg, &[1]);
-        let (h1, _) = table.probe_with(&arena, &first, &conn, None, |&v| v);
-        assert_eq!(
-            table.insert(h1, &arena, &first, &conn, None, 10, 0),
-            InsertOutcome::Inserted
-        );
-        let (h2, _) = table.probe_with(&arena, &second, &conn, None, |&v| v);
-        assert_eq!(
-            table.insert(h2, &arena, &second, &conn, None, 20, 0),
-            InsertOutcome::Rejected
-        );
-        let (_, hit) = table.probe_with(&arena, &first, &conn, None, |&v| v);
-        assert_eq!(hit, Some(10), "a frozen table still serves its entries");
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.totals().evictions(), 0, "entry-cap never evicts");
+        let snap = table.snapshot();
+        assert_eq!((snap.inserts, snap.entries), (1, 1));
+        assert_eq!(snap.bytes, bytes_once, "a duplicate must not leak bytes");
     }
 
     #[test]
@@ -585,77 +644,119 @@ mod tests {
         let mut restricted = hg.all_edges();
         restricted.remove(Edge(3));
         let restricted = Arc::new(restricted);
-        let table: StripedTable<u32, EntryCap> = StripedTable::new(EntryCap::new(8));
-        let (hash, _) = table.probe_with(&arena, &sub, &conn, Some(&all), |&v| v);
-        table.insert(hash, &arena, &sub, &conn, Some(&all), 1, 0);
-        let (_, hit) = table.probe_with(&arena, &sub, &conn, Some(&restricted), |&v| v);
-        assert_eq!(hit, None, "a different allowed alphabet is a different key");
-        let (_, hit) = table.probe_with(&arena, &sub, &conn, Some(&all), |&v| v);
-        assert_eq!(hit, Some(1));
+        let table = StripedTable::new(2, 1 << 20);
+        let hash = miss_hash(table.probe(&arena, &sub, &conn, Some(&all)));
+        table.insert(hash, &arena, &sub, &conn, Some(&all), None);
+        for (allowed, hits) in [
+            (Some(&restricted), false),
+            (None, false),
+            (Some(&all), true),
+        ] {
+            let hit = matches!(table.probe(&arena, &sub, &conn, allowed), Probe::Hit(_));
+            assert_eq!(hit, hits, "the allowed alphabet is part of the key");
+        }
     }
 
     #[test]
-    fn clock_eviction_respects_reference_bits_across_policies() {
-        // Same shard-collision construction as the engine cache's test,
-        // run directly against the shared core: the hot (touched) entry
-        // survives the sweep, the cold one is evicted.
-        let edges: Vec<Vec<u32>> = (0..12u32).map(|i| vec![i, (i + 1) % 12]).collect();
-        let hg = Hypergraph::from_edge_lists(&edges);
+    fn clock_eviction_keeps_referenced_entries() {
+        let hg = cycle12();
         let arena = SpecialArena::new();
         let conn = hg.vertex_set();
-        let mut candidates: Vec<Subproblem> = Vec::new();
-        for i in 0..12u32 {
-            for j in i + 1..12 {
-                candidates.push(sub_of(&hg, &[i, j]));
-            }
-        }
-        let one_cost = StripedKey::build(&arena, &candidates[0], &conn, None).approx_bytes();
-        let table: StripedTable<u32, ClockEviction> =
-            StripedTable::new(ClockEviction::new(2 * one_cost + one_cost / 2));
-        let mut by_shard: Vec<Vec<(Subproblem, u64)>> = (0..SHARDS).map(|_| Vec::new()).collect();
-        for sub in candidates {
-            let (h, _) = table.probe_with(&arena, &sub, &conn, None, |&v| v);
-            by_shard[(h as usize) % SHARDS].push((sub, h));
-        }
-        let triple = by_shard
-            .into_iter()
-            .find(|v| v.len() >= 3)
-            .expect("66 keys over 16 shards must collide");
-        let [(hot, h_hot), (cold, h_cold), (new, h_new)] = &triple[..3] else {
+        // All candidate keys have the same capacity-derived cost.
+        let one_cost = key_cost(&arena, &sub_of(&hg, &[0, 1]), &conn);
+        let budget = 2 * one_cost + one_cost / 2;
+        let table = StripedTable::new(2, budget);
+        let triple = same_shard_triple(&hg, &table, &arena);
+        let [(hot, h_hot), (cold, h_cold), (new, h_new)] = &triple[..] else {
             unreachable!()
         };
-        table.insert(*h_hot, &arena, hot, &conn, None, 1, 0);
-        table.insert(*h_cold, &arena, cold, &conn, None, 2, 0);
+        table.insert(*h_hot, &arena, hot, &conn, None, None);
+        table.insert(*h_cold, &arena, cold, &conn, None, None);
         // Touch the hot entry so its reference bit is set.
-        let (_, hit) = table.probe_with(&arena, hot, &conn, None, |&v| v);
-        assert_eq!(hit, Some(1));
-        assert_eq!(
-            table.insert(*h_new, &arena, new, &conn, None, 3, 0),
-            InsertOutcome::Inserted
-        );
-        assert_eq!(table.totals().evictions(), 1);
-        let (_, hot_hit) = table.probe_with(&arena, hot, &conn, None, |&v| v);
-        assert_eq!(hot_hit, Some(1), "referenced entry survives the sweep");
-        let (_, cold_hit) = table.probe_with(&arena, cold, &conn, None, |&v| v);
-        assert_eq!(cold_hit, None, "cold entry is gone");
-        assert!(table.totals().bytes() <= 2 * one_cost + one_cost / 2);
+        assert!(matches!(
+            table.probe(&arena, hot, &conn, None),
+            Probe::Hit(None)
+        ));
+        // The third insert overflows the budget: the sweep gives the hot
+        // entry its second chance and evicts the cold one.
+        table.insert(*h_new, &arena, new, &conn, None, None);
+        assert_eq!(table.snapshot().evictions, 1);
+        for (sub, kept) in [(hot, true), (new, true), (cold, false)] {
+            let hit = matches!(table.probe(&arena, sub, &conn, None), Probe::Hit(None));
+            assert_eq!(hit, kept);
+        }
+        assert!(table.snapshot().bytes <= budget);
     }
 
     #[test]
-    fn clock_rejects_when_nothing_fits_and_releases_bytes() {
+    fn oversize_insert_is_rejected_without_evicting() {
+        let hg = cycle12();
+        let arena = SpecialArena::new();
+        let conn = hg.vertex_set();
+        let one_cost = key_cost(&arena, &sub_of(&hg, &[0, 1]), &conn);
+        let budget = 2 * one_cost + one_cost / 2;
+        let table = StripedTable::new(2, budget);
+        let triple = same_shard_triple(&hg, &table, &arena);
+        let [(a, h_a), (b, h_b), (big, h_big)] = &triple[..] else {
+            unreachable!()
+        };
+        table.insert(*h_a, &arena, a, &conn, None, None);
+        table.insert(*h_b, &arena, b, &conn, None, None);
+        // A witness with one node per vertex costs more than the whole
+        // budget on its own.
+        let mut frag = Fragment::leaf(big.edges.iter().collect(), hg.union_of(&big.edges));
+        for v in 0..12 {
+            frag.attach_under(
+                0,
+                Fragment::leaf(vec![Edge(v)], hg.union_of_slice(&[Edge(v)])),
+            );
+        }
+        assert!(PortableFragment::from_fragment(&frag, &arena).approx_bytes() > budget);
+        table.insert(*h_big, &arena, big, &conn, None, Some(&frag));
+        let snap = table.snapshot();
+        assert_eq!((snap.rejected, snap.evictions, snap.entries), (1, 0, 2));
+        assert_eq!(
+            snap.bytes,
+            2 * one_cost,
+            "the rejected entry reserved nothing"
+        );
+        for sub in [a, b] {
+            assert!(matches!(
+                table.probe(&arena, sub, &conn, None),
+                Probe::Hit(None)
+            ));
+        }
+    }
+
+    #[test]
+    fn insert_is_rejected_when_nothing_fits() {
         let hg = hg4();
         let arena = SpecialArena::new();
         let conn = hg.vertex_set();
         let sub = sub_of(&hg, &[0]);
-        let cost = StripedKey::build(&arena, &sub, &conn, None).approx_bytes();
-        let table: StripedTable<u32, ClockEviction> =
-            StripedTable::new(ClockEviction::new(cost / 2));
-        let (hash, _) = table.probe_with(&arena, &sub, &conn, None, |&v| v);
-        assert_eq!(
-            table.insert(hash, &arena, &sub, &conn, None, 1, 0),
-            InsertOutcome::Rejected
-        );
-        assert_eq!(table.totals().bytes(), 0, "rejection must release bytes");
+        let table = StripedTable::new(2, key_cost(&arena, &sub, &conn) / 2);
+        let hash = miss_hash(table.probe(&arena, &sub, &conn, None));
+        table.insert(hash, &arena, &sub, &conn, None, None);
+        let snap = table.snapshot();
+        assert_eq!((snap.inserts, snap.rejected, snap.bytes), (0, 1, 0));
         assert!(table.is_empty());
+    }
+
+    #[test]
+    fn disabled_table_never_stores() {
+        let hg = hg4();
+        let arena = SpecialArena::new();
+        let conn = hg.vertex_set();
+        let table = StripedTable::new(2, 0);
+        assert!(!table.enabled());
+        let sub = sub_of(&hg, &[0]);
+        let hash = miss_hash(table.probe(&arena, &sub, &conn, None));
+        table.insert(hash, &arena, &sub, &conn, None, None);
+        assert!(matches!(
+            table.probe(&arena, &sub, &conn, None),
+            Probe::Miss(_)
+        ));
+        assert!(table.is_empty());
+        assert_eq!(table.snapshot(), CacheSnapshot::default());
     }
 }

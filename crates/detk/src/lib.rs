@@ -16,12 +16,15 @@
 //! — the extensive caching that makes the algorithm strong on small
 //! instances but, as the paper argues, inherently hard to parallelise.
 //!
-//! The memo table lives in [`memo::SharedMemo`]: keys resolve special
-//! edges to vertex sets and positive results are stored arena-independent
+//! The memo is the workspace's one memo table ([`decomp::StripedTable`]),
+//! probed without the `allowed` key part: keys resolve special edges to
+//! vertex sets and positive results are stored arena-independent
 //! ([`decomp::PortableFragment`]), so one table can be shared across *all*
 //! hybrid handoffs and rayon branches of a `log-k-decomp` solve
 //! ([`DetKDecomp::with_shared_memo`]) instead of each handoff rebuilding
-//! its memoisation from zero.
+//! its memoisation from zero. Like the engine's subproblem cache, it is
+//! bounded by a byte budget ([`decomp::DEFAULT_CACHE_BYTES`] for an
+//! engine-owned table) and evicts cold entries past it.
 //!
 //! The search itself runs on per-level scratch workspaces
 //! ([`DetkScratch`]), mirroring the main engine's `LevelScratch`
@@ -35,16 +38,54 @@
 use std::cell::OnceCell;
 use std::ops::ControlFlow;
 
-use decomp::{Control, Decomposition, Fragment, Interrupted};
+use decomp::{
+    CacheSnapshot, Control, Decomposition, Fragment, Interrupted, Probe, StripedTable,
+    DEFAULT_CACHE_BYTES,
+};
 use hypergraph::subsets::{for_each_cover_subset_in, CoverScratch, CoverStep};
 use hypergraph::{
     separate_into, Edge, Hypergraph, LevelStack, Scratch, Separation, SpecialArena, Subproblem,
     VertexSet,
 };
 
-pub mod memo;
+decomp::counters! {
+    /// Point-in-time counters of a det-k memo table: a view of its
+    /// [`CacheSnapshot`] under det-k's names, plus the width bound.
+    pub struct MemoSnapshot {
+        /// Width bound the table's verdicts are relative to.
+        k: usize = max,
+        /// Lookups answered from the table, positive or negative.
+        hits: u64 = sum,
+        /// Lookups that found nothing.
+        misses: u64 = sum,
+        /// Entries inserted.
+        inserts: u64 = sum,
+        /// Entries evicted by the second-chance sweep.
+        evictions: u64 = sum,
+        /// Entries currently stored.
+        entries: usize = max,
+        /// Estimated bytes currently stored.
+        bytes: usize = max,
+        /// Configured byte budget (0 = memo disabled).
+        byte_budget: usize = max,
+    }
+}
 
-pub use memo::{MemoProbe, MemoSnapshot, SharedMemo};
+impl MemoSnapshot {
+    /// The det-k view of a table snapshot taken at width bound `k`.
+    pub fn of(k: usize, s: &CacheSnapshot) -> Self {
+        MemoSnapshot {
+            k,
+            hits: s.hits(),
+            misses: s.misses,
+            inserts: s.inserts,
+            evictions: s.evictions,
+            entries: s.entries,
+            bytes: s.bytes,
+            byte_budget: s.byte_budget,
+        }
+    }
+}
 
 /// Result of a whole-hypergraph solve.
 pub type SolveResult = Result<Option<Decomposition>, Interrupted>;
@@ -123,26 +164,11 @@ impl DetkScratch {
 /// shared table (one per hybrid handoff!) never pay for shard
 /// construction they will throw away.
 enum MemoHandle<'a> {
-    Owned {
-        cell: OnceCell<Box<SharedMemo>>,
-        k: usize,
-        cap: usize,
-    },
-    Shared(&'a SharedMemo),
+    Owned(OnceCell<Box<StripedTable>>),
+    Shared(&'a StripedTable),
 }
 
-impl MemoHandle<'_> {
-    fn get(&self) -> &SharedMemo {
-        match self {
-            MemoHandle::Owned { cell, k, cap } => {
-                cell.get_or_init(|| Box::new(SharedMemo::new(*k, *cap)))
-            }
-            MemoHandle::Shared(m) => m,
-        }
-    }
-}
-
-/// Reusable `det-k-decomp` engine over a [`SharedMemo`].
+/// Reusable `det-k-decomp` engine over a memo table.
 ///
 /// The engine borrows the hypergraph and control; the special-edge arena is
 /// passed per call so that `log-k-decomp`'s hybrid driver can hand over
@@ -165,22 +191,15 @@ pub struct DetKDecomp<'h> {
 type Found<T> = ControlFlow<Result<T, Interrupted>>;
 
 impl<'h> DetKDecomp<'h> {
-    /// Default soft cap on memoised subproblems.
-    pub const DEFAULT_CACHE_CAP: usize = 1 << 20;
-
     /// Creates an engine for width bound `k` with its own (lazily built)
-    /// memo table.
+    /// memo table of [`DEFAULT_CACHE_BYTES`].
     pub fn new(hg: &'h Hypergraph, k: usize, ctrl: &'h Control) -> Self {
         assert!(k >= 1, "width parameter k must be at least 1");
         DetKDecomp {
             hg,
             k,
             ctrl,
-            memo: MemoHandle::Owned {
-                cell: OnceCell::new(),
-                k,
-                cap: Self::DEFAULT_CACHE_CAP,
-            },
+            memo: MemoHandle::Owned(OnceCell::new()),
             scratch: DetkScratch::new(),
             depth: 0,
             max_depth: 0,
@@ -196,14 +215,14 @@ impl<'h> DetKDecomp<'h> {
     /// If the table was created for a different width bound: its verdicts
     /// ("refuted at k", "witness of width ≤ k") are meaningless at any
     /// other `k`, so sharing across bounds would be unsound.
-    pub fn with_shared_memo<'m>(self, memo: &'m SharedMemo) -> DetKDecomp<'m>
+    pub fn with_shared_memo<'m>(self, memo: &'m StripedTable) -> DetKDecomp<'m>
     where
         'h: 'm,
     {
         assert_eq!(
             memo.k(),
             self.k,
-            "a SharedMemo stores verdicts relative to one width bound"
+            "a memo table stores verdicts relative to one width bound"
         );
         DetKDecomp {
             hg: self.hg,
@@ -237,9 +256,20 @@ impl<'h> DetKDecomp<'h> {
         self.scratch.grow_events()
     }
 
+    /// The memo table, building an owned one of [`DEFAULT_CACHE_BYTES`]
+    /// on first use.
+    fn memo(&self) -> &StripedTable {
+        match &self.memo {
+            MemoHandle::Owned(cell) => {
+                cell.get_or_init(|| Box::new(StripedTable::new(self.k, DEFAULT_CACHE_BYTES)))
+            }
+            MemoHandle::Shared(m) => m,
+        }
+    }
+
     /// Number of memoised subproblems (diagnostics).
     pub fn cache_len(&self) -> usize {
-        self.memo.get().len()
+        self.memo().len()
     }
 
     /// Deepest recursion level reached so far (diagnostics; the paper's
@@ -289,13 +319,14 @@ impl<'h> DetKDecomp<'h> {
 
         // Borrowed-key probe: no owned key is built unless the result is
         // actually memoised.
-        let hash = match self.memo.get().probe(arena, sub, conn) {
-            MemoProbe::Hit(result) => return Ok(result),
-            MemoProbe::Miss(h) => h,
+        let hash = match self.memo().probe(arena, sub, conn, None) {
+            Probe::Hit(result) => return Ok(result),
+            Probe::Miss(h) => h,
         };
 
         let result = self.search(arena, sub, conn)?;
-        self.memo.get().insert(hash, arena, sub, conn, &result);
+        self.memo()
+            .insert(hash, arena, sub, conn, None, result.as_ref());
         Ok(result)
     }
 
@@ -561,12 +592,12 @@ mod tests {
 
     #[test]
     fn shared_memo_carries_results_across_engines() {
-        // Two engine instances over one SharedMemo — the shape of the
+        // Two engine instances over one memo table — the shape of the
         // hybrid driver's repeated handoffs. The second engine must answer
         // from the table built by the first.
         let hg = cycle(12);
         let ctrl = Control::unlimited();
-        let memo = SharedMemo::new(2, 1 << 16);
+        let memo = StripedTable::new(2, 1 << 16);
         let arena = SpecialArena::new();
         let sub = Subproblem::whole(&hg);
 
@@ -581,7 +612,7 @@ mod tests {
         assert!(g.is_some());
         let after_second = memo.snapshot();
         assert!(
-            after_second.hits > after_first.hits,
+            after_second.hits() > after_first.hits(),
             "second engine must reuse the shared table"
         );
         // The top-level answer itself is served from the memo: no new

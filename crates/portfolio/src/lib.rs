@@ -198,10 +198,10 @@ impl Engine {
         }
     }
 
-    /// Attaches shared memo tables for the `logk` kinds (the striped
-    /// tables are concurrency-safe, so racers warm each other mid-race
-    /// and across races). The pair must apply to the solved instance and
-    /// width — `LogK` enforces this and skips it otherwise.
+    /// Attaches a shared subproblem cache for the `logk` kinds (the
+    /// striped table is concurrency-safe, so racers warm each other
+    /// mid-race and across races). It must apply to the solved instance
+    /// and width — `LogK` enforces this and skips it otherwise.
     pub fn with_shared_tables(mut self, tables: SharedTables) -> Self {
         self.tables = Some(tables);
         self
@@ -383,7 +383,7 @@ impl Default for Portfolio {
 }
 
 impl Portfolio {
-    /// Attaches shared memo tables for the `logk`-family racers; see
+    /// Attaches a shared subproblem cache for the `logk`-family racers; see
     /// [`Engine::with_shared_tables`].
     pub fn with_shared_tables(mut self, tables: SharedTables) -> Self {
         for engine in &mut self.engines {

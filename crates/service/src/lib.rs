@@ -16,9 +16,8 @@
 //!   the executors, the shared pool and every other request keep going.
 //! * **Shared warmth** — content-equal instances are canonicalised by
 //!   the [`TableHub`] so concurrent and repeated requests share
-//!   width-matched subproblem caches and `det-k-decomp` memos, without
-//!   ever sharing tables across *different* instances or widths (which
-//!   would be unsound).
+//!   width-matched subproblem caches, without ever sharing tables across
+//!   *different* instances or widths (which would be unsound).
 //! * **Anytime answers** — [`Job::MinimalWidth`] returns
 //!   [`logk::WidthBounds`]: whatever the sweep proved before the
 //!   deadline, not nothing. The sweep ([`logk::width_bounds_with`])

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use decomp::{Control, Decomposition, Interrupted};
 use hypergraph::Hypergraph;
-use logk::{LogK, SharedTables, WidthBounds, DEFAULT_CACHE_BYTES, DEFAULT_DETK_CACHE_CAP};
+use logk::{LogK, SharedTables, WidthBounds, DEFAULT_CACHE_BYTES};
 use portfolio::{EngineKind, Portfolio};
 
 use crate::queue::{DeadlineQueue, PushError};
@@ -80,10 +80,9 @@ pub struct ServerConfig {
     /// running; a retry is only attempted while the request's control is
     /// still live).
     pub max_retries: u32,
-    /// Per-pair byte budget of each shared subproblem cache.
+    /// Byte budget of each shared subproblem cache (one per instance
+    /// and width).
     pub cache_bytes: usize,
-    /// Per-pair entry cap of each shared `det-k-decomp` memo.
-    pub detk_cache_cap: usize,
     /// Distinct instances the table hub keeps warm (LRU beyond this).
     pub max_instances: usize,
     /// Per-width sub-deadline for minimal-width sweeps (see
@@ -102,7 +101,6 @@ impl Default for ServerConfig {
             min_headroom: Duration::ZERO,
             max_retries: 1,
             cache_bytes: DEFAULT_CACHE_BYTES,
-            detk_cache_cap: DEFAULT_DETK_CACHE_CAP,
             max_instances: 4,
             width_slice: None,
         }
@@ -403,7 +401,7 @@ impl Server {
         let inner = Arc::new(Inner {
             root: Arc::new(Control::unlimited()),
             counters: ServiceCounters::default(),
-            hub: TableHub::new(cfg.cache_bytes, cfg.detk_cache_cap, cfg.max_instances),
+            hub: TableHub::new(cfg.cache_bytes, cfg.max_instances),
             inflight: Mutex::new(HashMap::new()),
             closed: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
@@ -573,7 +571,7 @@ impl Inner {
             }
             Job::MinimalWidth { k_max } => {
                 // Canonicalise once so the sweep solves the instance the
-                // per-width table pairs are bound to.
+                // per-width tables are bound to.
                 let (hg, _) = self.hub.checkout(&q.hg, 1);
                 let bounds =
                     logk::width_bounds_with(&hg, k_max, &q.ctrl, self.cfg.width_slice, |k| {

@@ -3,7 +3,7 @@
 //! Cached subproblem verdicts are only valid relative to one hypergraph
 //! (its edge numbering) and one width bound `k` — sharing them across
 //! *different* instances or widths would be unsound. The [`TableHub`]
-//! therefore keys [`SharedTables`] pairs by *instance content* and `k`:
+//! therefore keys [`SharedTables`] by *instance content* and `k`:
 //! content-equal hypergraphs submitted by different clients are
 //! canonicalised to one `Arc`, so their requests genuinely warm each
 //! other's caches, while everything else gets (and pollutes) only its
@@ -19,27 +19,28 @@ use hypergraph::{Hypergraph, Ix};
 use logk::SharedTables;
 
 /// One canonicalised instance: the `Arc` every content-equal submission
-/// is rewritten to, plus its per-width table pairs.
+/// is rewritten to, plus its per-width tables.
 struct InstanceEntry {
-    /// Canonical copy — all [`SharedTables::for_instance`] pairs below
+    /// Canonical copy — all [`SharedTables::for_instance`] tables below
     /// are bound to *this* allocation, so `LogK`'s address check passes
     /// for every sharer.
     hg: Arc<Hypergraph>,
-    /// Width-keyed table pairs, built lazily per requested `k`.
-    pairs: HashMap<usize, SharedTables>,
+    /// Width-keyed tables, built lazily per requested `k`.
+    tables: HashMap<usize, SharedTables>,
     /// LRU tick of the last checkout.
     last_used: u64,
 }
 
 /// Registry of shared memo tables, keyed by `(instance content, k)`.
 ///
-/// Byte budget: each pair caps its subproblem cache at the configured
-/// per-pair budget, and the hub holds at most `max_instances` instances
-/// (LRU-evicted), so total cache memory is bounded by
-/// `max_instances × widths-per-instance × cache_bytes`.
+/// Byte budget: each table caps its subproblem cache at `cache_bytes`,
+/// and the hub holds at most `max_instances` instances (LRU-evicted), so
+/// the memory the hub holds across requests is bounded by
+/// `max_instances × widths-per-instance × cache_bytes`. That is all it
+/// holds: the `det-k-decomp` memo of a hybrid solve is built and freed
+/// by that solve, under its own `cache_bytes` budget.
 pub struct TableHub {
     cache_bytes: usize,
-    detk_cache_cap: usize,
     max_instances: usize,
     inner: Mutex<HashMap<u64, InstanceEntry>>,
     tick: AtomicU64,
@@ -53,23 +54,23 @@ pub struct TableHub {
 pub struct HubSnapshot {
     /// Distinct canonicalised instances currently held.
     pub instances: u64,
-    /// Table pairs currently held across all instances.
-    pub pairs: u64,
-    /// Checkouts that found an existing pair.
+    /// Tables currently held across all instances (one per instance
+    /// and width).
+    pub tables: u64,
+    /// Checkouts that found an existing table.
     pub hits: u64,
-    /// Checkouts that built a fresh pair.
+    /// Checkouts that built a fresh table.
     pub misses: u64,
     /// Instances evicted by the LRU cap.
     pub evictions: u64,
 }
 
 impl TableHub {
-    /// A hub handing out pairs with the given per-pair budgets, holding
-    /// at most `max_instances` distinct instances.
-    pub fn new(cache_bytes: usize, detk_cache_cap: usize, max_instances: usize) -> Self {
+    /// A hub handing out tables of `cache_bytes` each, holding at most
+    /// `max_instances` distinct instances.
+    pub fn new(cache_bytes: usize, max_instances: usize) -> Self {
         TableHub {
             cache_bytes,
-            detk_cache_cap,
             max_instances: max_instances.max(1),
             inner: Mutex::new(HashMap::new()),
             tick: AtomicU64::new(0),
@@ -79,13 +80,13 @@ impl TableHub {
         }
     }
 
-    /// Checks out the table pair for (`hg`, `k`): the canonical `Arc`
-    /// for `hg`'s content plus the pair bound to it, building either on
-    /// first sight. Solve with the *returned* hypergraph — the pair's
+    /// Checks out the table for (`hg`, `k`): the canonical `Arc` for
+    /// `hg`'s content plus the table bound to it, building either on
+    /// first sight. Solve with the *returned* hypergraph — the table's
     /// soundness check is by address against it.
     ///
     /// Fingerprint collisions (content-distinct instances hashing alike)
-    /// degrade safely: the newcomer gets a fresh *unshared* pair bound
+    /// degrade safely: the newcomer gets a fresh *unshared* table bound
     /// to its own `Arc`, and the incumbent keeps its slot.
     pub fn checkout(&self, hg: &Arc<Hypergraph>, k: usize) -> (Arc<Hypergraph>, SharedTables) {
         let fp = fingerprint(hg);
@@ -96,51 +97,36 @@ impl TableHub {
                 entry.last_used = now;
                 let canonical = Arc::clone(&entry.hg);
                 let mut built = false;
-                let pair = entry
-                    .pairs
+                let table = entry
+                    .tables
                     .entry(k)
                     .or_insert_with(|| {
                         built = true;
-                        SharedTables::for_instance(
-                            Arc::clone(&canonical),
-                            k,
-                            self.cache_bytes,
-                            self.detk_cache_cap,
-                        )
+                        SharedTables::for_instance(Arc::clone(&canonical), k, self.cache_bytes)
                     })
                     .clone();
                 let counter = if built { &self.misses } else { &self.hits };
                 counter.fetch_add(1, Ordering::Relaxed);
-                (canonical, pair)
+                (canonical, table)
             }
             Some(_) => {
                 // Fingerprint collision: don't share, don't evict.
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let canonical = Arc::clone(hg);
-                let pair = SharedTables::for_instance(
-                    Arc::clone(&canonical),
-                    k,
-                    self.cache_bytes,
-                    self.detk_cache_cap,
-                );
-                (canonical, pair)
+                let table = SharedTables::for_instance(Arc::clone(&canonical), k, self.cache_bytes);
+                (canonical, table)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let canonical = Arc::clone(hg);
-                let pair = SharedTables::for_instance(
-                    Arc::clone(&canonical),
-                    k,
-                    self.cache_bytes,
-                    self.detk_cache_cap,
-                );
-                let mut pairs = HashMap::new();
-                pairs.insert(k, pair.clone());
+                let table = SharedTables::for_instance(Arc::clone(&canonical), k, self.cache_bytes);
+                let mut tables = HashMap::new();
+                tables.insert(k, table.clone());
                 map.insert(
                     fp,
                     InstanceEntry {
                         hg: Arc::clone(&canonical),
-                        pairs,
+                        tables,
                         last_used: now,
                     },
                 );
@@ -152,7 +138,7 @@ impl TableHub {
                         self.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                (canonical, pair)
+                (canonical, table)
             }
         }
     }
@@ -162,7 +148,7 @@ impl TableHub {
         let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         HubSnapshot {
             instances: map.len() as u64,
-            pairs: map.values().map(|e| e.pairs.len() as u64).sum(),
+            tables: map.values().map(|e| e.tables.len() as u64).sum(),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),

@@ -190,7 +190,7 @@ fn poisoned_shared_cache_recovers() {
     let hub = server.hub_snapshot();
     assert_eq!(
         hub.hits, 1,
-        "second request must reuse the poisoned pair: {hub:?}"
+        "second request must reuse the poisoned table: {hub:?}"
     );
     server.shutdown();
     faults::reset();

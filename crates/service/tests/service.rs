@@ -67,7 +67,7 @@ fn minimal_width_exact() {
 }
 
 /// Content-equal instances submitted as *distinct* allocations share
-/// one canonical instance and its table pair.
+/// one canonical instance and its shared table.
 #[test]
 fn content_equal_requests_share_tables() {
     let server = Server::start(ServerConfig::default());
@@ -84,7 +84,7 @@ fn content_equal_requests_share_tables() {
     }
     let hub = server.hub_snapshot();
     assert_eq!(hub.instances, 1, "one canonical instance: {hub:?}");
-    assert_eq!(hub.misses, 1, "one pair built: {hub:?}");
+    assert_eq!(hub.misses, 1, "one table built: {hub:?}");
     assert_eq!(hub.hits, 2, "later requests reuse it: {hub:?}");
     server.shutdown();
 }

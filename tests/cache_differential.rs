@@ -228,38 +228,39 @@ fn tiny_cache_budget_evicts_but_stays_sound() {
     );
 }
 
-/// The det-k memo's entry-cap retention, driven through the shared
-/// striped-table core by real hybrid solves: a cap small enough to freeze
-/// almost immediately must degrade reuse, never correctness, and the cap
-/// must hold exactly (the core's admission runs under the shard lock).
-/// Quick tier: instances of at most 20 edges.
+/// The det-k memo's byte budget, driven by real hybrid solves: a budget
+/// small enough to churn the memo's CLOCK sweep must degrade reuse, never
+/// correctness, and must hold exactly (admission reserves bytes under the
+/// shard lock). Quick tier: instances of at most 20 edges.
 #[test]
-fn detk_entry_cap_policy_sound() {
-    check_detk_entry_cap(20);
+fn detk_byte_budget_policy_sound() {
+    check_detk_byte_budget(20);
 }
 
-/// [`detk_entry_cap_policy_sound`] over every instance of at most 30
+/// [`detk_byte_budget_policy_sound`] over every instance of at most 30
 /// edges; the uncached oracle takes over a minute there in debug builds.
 #[test]
 #[ignore = "exhaustive tier: CI runs it"]
-fn detk_entry_cap_policy_sound_exhaustive() {
-    check_detk_entry_cap(30);
+fn detk_byte_budget_policy_sound_exhaustive() {
+    check_detk_byte_budget(30);
 }
 
-fn check_detk_entry_cap(max_edges: usize) {
+fn check_detk_byte_budget(max_edges: usize) {
+    const TINY: usize = 4096;
     let corpus = hyperbench_like(CorpusConfig {
         seed: 2024,
         scale: 1.0 / 100.0,
     });
     let ctrl = Control::unlimited();
-    let capped = LogK::hybrid(1).with_detk_cache_cap(4);
+    let tiny = LogK::hybrid(1).with_cache_bytes(TINY);
     let roomy = LogK::hybrid(1);
     let oracle = LogK::sequential().with_cache_bytes(0);
     let mut handoffs = 0u64;
-    let mut capped_inserts = 0u64;
+    let mut tiny_inserts = 0u64;
+    let mut tiny_evictions = 0u64;
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= max_edges) {
         for k in 1..=3usize {
-            let (dc, sc) = capped.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+            let (dc, sc) = tiny.search_with_stats(&inst.hg, k, &ctrl).unwrap();
             let (dr, _) = roomy.search_with_stats(&inst.hg, k, &ctrl).unwrap();
             let b = oracle
                 .search_with_stats(&inst.hg, k, &ctrl)
@@ -269,7 +270,7 @@ fn check_detk_entry_cap(max_edges: usize) {
             assert_eq!(
                 dc.is_some(),
                 b,
-                "capped hybrid vs oracle: {} k={k}",
+                "tiny-budget hybrid vs oracle: {} k={k}",
                 inst.name
             );
             assert_eq!(
@@ -278,14 +279,16 @@ fn check_detk_entry_cap(max_edges: usize) {
                 "roomy hybrid vs oracle: {} k={k}",
                 inst.name
             );
+            assert_eq!(sc.detk_memo.byte_budget, TINY);
             assert!(
-                sc.detk_memo.entries <= 4,
-                "{} k={k}: entry cap exceeded ({} entries)",
+                sc.detk_memo.bytes <= sc.detk_memo.byte_budget,
+                "{} k={k}: det-k memo exceeded its byte budget ({} bytes)",
                 inst.name,
-                sc.detk_memo.entries
+                sc.detk_memo.bytes
             );
             handoffs += sc.detk_handoffs;
-            capped_inserts += sc.detk_memo.inserts;
+            tiny_inserts += sc.detk_memo.inserts;
+            tiny_evictions += sc.detk_memo.evictions;
             if let Some(d) = &dc {
                 validate_hd_width(&inst.hg, d, k).unwrap();
             }
@@ -295,16 +298,17 @@ fn check_detk_entry_cap(max_edges: usize) {
         }
     }
     assert!(handoffs > 0, "the hybrid corpus run must hand off to det-k");
+    assert!(tiny_inserts > 0, "the tiny memo must still admit entries");
     assert!(
-        capped_inserts > 0,
-        "the capped memo must still admit its first entries"
+        tiny_evictions > 0,
+        "a {TINY}-byte budget must force the det-k memo to evict"
     );
 }
 
-/// Cross-policy soundness: both retention policies of the shared core
-/// active at once — the engine cache churning under a 4 KiB CLOCK budget
-/// *and* the det-k memo frozen at a tiny entry cap — against both
-/// disabled. Same decisions, validated witnesses, budgets respected.
+/// Cross-table soundness: both memo tables of a hybrid solve under one
+/// tiny budget at once — the engine cache and the det-k memo each
+/// churning under a 4 KiB CLOCK budget — against both disabled. Same
+/// decisions, validated witnesses, budgets respected.
 #[test]
 fn cross_policy_tiny_limits_stay_sound() {
     let corpus = hyperbench_like(CorpusConfig {
@@ -314,9 +318,8 @@ fn cross_policy_tiny_limits_stay_sound() {
     let ctrl = Control::unlimited();
     let tiny = LogK::hybrid(1)
         .with_cache_bytes(4096)
-        .with_detk_cache_cap(2)
         .with_pos_cache_max_frag(usize::MAX);
-    let off = LogK::hybrid(1).with_cache_bytes(0).with_detk_cache_cap(0);
+    let off = LogK::hybrid(1).with_cache_bytes(0);
     for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 25) {
         for k in 1..=3usize {
             let (da, sa) = tiny.search_with_stats(&inst.hg, k, &ctrl).unwrap();
@@ -328,10 +331,10 @@ fn cross_policy_tiny_limits_stay_sound() {
                 inst.name
             );
             assert!(sa.cache.bytes <= 4096, "CLOCK budget exceeded");
-            assert!(sa.detk_memo.entries <= 2, "entry cap exceeded");
+            assert!(sa.detk_memo.bytes <= 4096, "det-k memo budget exceeded");
             assert_eq!(
                 sb.detk_memo.inserts, 0,
-                "a zero cap must freeze the memo entirely"
+                "a zero budget must disable the det-k memo too"
             );
             if let Some(d) = &da {
                 validate_hd_width(&inst.hg, d, k).unwrap();
@@ -421,25 +424,23 @@ proptest! {
         }
     }
 
-    /// Both retention policies of the shared striped core fuzzed at once:
-    /// a 4 KiB CLOCK budget (ungated positive inserts, maximum eviction
-    /// churn) on the engine cache plus a 2-entry cap on the det-k memo,
-    /// against both disabled. Decisions must coincide and both limits
+    /// Both memo tables of a hybrid solve fuzzed at once under a 4 KiB
+    /// CLOCK budget (ungated positive inserts, maximum eviction churn),
+    /// against both disabled. Decisions must coincide and both budgets
     /// must hold on every arbitrary hypergraph.
     #[test]
-    fn tiny_budget_and_cap_decisions_match(hg in arb_hypergraph()) {
+    fn tiny_budget_hybrid_decisions_match(hg in arb_hypergraph()) {
         let ctrl = Control::unlimited();
         let tiny = LogK::hybrid(1)
             .with_cache_bytes(4096)
-            .with_detk_cache_cap(2)
             .with_pos_cache_max_frag(usize::MAX);
-        let off = LogK::hybrid(1).with_cache_bytes(0).with_detk_cache_cap(0);
+        let off = LogK::hybrid(1).with_cache_bytes(0);
         for k in 1..=3usize {
             let (da, sa) = tiny.search_with_stats(&hg, k, &ctrl).unwrap();
             let b = off.search_with_stats(&hg, k, &ctrl).unwrap().0.is_some();
             prop_assert_eq!(da.is_some(), b, "both-tiny vs both-off at k={}", k);
             prop_assert!(sa.cache.bytes <= 4096, "CLOCK budget exceeded at k={}", k);
-            prop_assert!(sa.detk_memo.entries <= 2, "entry cap exceeded at k={}", k);
+            prop_assert!(sa.detk_memo.bytes <= 4096, "det-k memo budget exceeded at k={}", k);
         }
     }
 }
