@@ -245,12 +245,12 @@ fn bench_par_scaling(c: &mut Criterion) {
     // depths < 2 is the only parallel surface, so this bench measures the
     // scheduler itself — join-splitting of the lead space, steal latency
     // and early-cancel — on a workload whose sequential baseline
-    // (`micro/lp_prune`, same instance) is ~2 ms. Pools come from the
-    // process-wide cache (`logk::shared_pool`), exactly like
-    // `LogK::decompose` in production: the first iteration pays the
-    // one-off spawn, every later solve reuses the warm workers — the
-    // ~0.1 ms-per-solve construction tax the pre-pool-reuse t1 numbers
-    // carried is gone from the steady state.
+    // (`micro/lp_prune`, same instance) is ~2 ms. The `_t1` arms have no
+    // second worker: `LogK::parallel(1)` is `LogK::sequential()` and
+    // solves inline on the bench thread, so they time the sequential
+    // search. The `_t2`/`_t4` pools come from the process-wide cache
+    // (`logk::shared_pool`), as in production: the first iteration pays
+    // the one-off spawn, every later solve reuses the warm workers.
     let grid = families::grid(4, 4);
     for threads in [1usize, 2, 4] {
         let solver = LogK::parallel(threads);

@@ -36,19 +36,19 @@
 //! The λc search space is partitioned by lead edge, as in Appendix D.1,
 //! and walked lead by lead at every depth and in every variant: the leads
 //! of one `ChildLoop` run in order on the level's own arena and scratch,
-//! or — inside the racing depths, on a pool with more than one worker —
-//! race across the work-stealing pool by recursive [`rayon::join`]
-//! splitting of the lead range. Idle workers steal the published halves,
-//! so the wildly uneven per-lead subtree costs balance themselves, and
-//! sibling branches are pruned (early-cancelled at every split and poll
-//! point) as soon as one candidate succeeds. This race is the engine's
-//! only parallelism: the `[λc]`-components below a candidate always
-//! recurse in order. So `LogK::sequential()` and a 1-worker
-//! `LogK::parallel(1)` run the same search. Special edges are
-//! arena-allocated with stack discipline: a `Decomp` call restores the
-//! arena to its entry length before returning, so a returned fragment
-//! only ever references special edges of its own subproblem. Before
-//! branching, the arena is *sealed*
+//! or — inside the racing depths of a parallel engine, which runs on a
+//! pool of two or more workers — race across the pool by recursive
+//! [`rayon::join`] splitting of the lead range. Idle workers steal the
+//! published halves, so the wildly uneven per-lead subtree costs balance
+//! themselves, and sibling branches are pruned (early-cancelled at every
+//! split and poll point) as soon as one candidate succeeds. This race is
+//! the engine's only parallelism: the `[λc]`-components below a candidate
+//! always recurse in order. `LogK::parallel(1)` has no second worker, so
+//! it is `LogK::sequential()` and runs inline on the caller's thread.
+//! Special edges are arena-allocated with stack discipline: a `Decomp`
+//! call restores the arena to its entry length before returning, so a
+//! returned fragment only ever references special edges of its own
+//! subproblem. Before branching, the arena is *sealed*
 //! ([`SpecialArena::seal`]): the shared prefix moves behind an `Arc` and
 //! each branch's "clone" is a reference-count bump instead of a deep copy.
 
@@ -157,7 +157,8 @@ pub struct EngineConfig {
     /// Width bound `k ≥ 1`.
     pub k: usize,
     /// Race the λc leads across the current rayon pool at recursion
-    /// depths `< PARALLEL_DEPTH`, when the pool has more than one worker.
+    /// depths `< PARALLEL_DEPTH`. `LogK` sets it exactly when the solve
+    /// runs on a pool of two or more workers.
     pub parallel: bool,
     /// Hybrid handoff policy, if any.
     pub hybrid: Option<HybridConfig>,
@@ -272,10 +273,10 @@ decomp::counters! {
     pub struct SolveStats {
         /// Jobs the pool's workers stole from a sibling's deque during the
         /// solve — the work-stealing runtime actually redistributing load
-        /// (0 for sequential engines and degenerate 1-worker pools).
+        /// (0 for every solve on one worker, which runs inline).
         sched_steals: u64 = sum,
         /// Times a pool worker parked for lack of work during the solve —
-        /// idle capacity the λc race did not fill.
+        /// idle capacity the λc race did not fill (0 on one worker).
         sched_parks: u64 = sum,
         /// Counters of the `det-k-decomp` memo table shared across
         /// handoffs (empty when no handoff ran).
@@ -306,7 +307,7 @@ decomp::counters! {
         scratch_grow_events: u64 = sum,
         /// Arena checkpoints handed to the leads of a λc race. Each is an
         /// `Arc` bump over the sealed prefix, not a deep copy (0 for
-        /// sequential engines and 1-worker pools).
+        /// every solve on one worker).
         arena_branch_clones: u64 = sum,
         /// Hybrid handoffs to `det-k-decomp`.
         detk_handoffs: u64 = sum,
@@ -977,8 +978,8 @@ impl<'h> LogKEngine<'h> {
 
     /// `ChildLoop` (Algorithm 2, lines 11–44): enumerate λc candidates
     /// lead by lead ([`Self::walk_lead`]). In a parallel engine, at depths
-    /// below [`PARALLEL_DEPTH`], with more than one candidate and more
-    /// than one pool worker, the leads race across the pool
+    /// below [`PARALLEL_DEPTH`] and with more than one candidate, the
+    /// leads race across the pool
     /// ([`Self::child_loop_parallel`]). Otherwise they run in order on
     /// this level's own arena and scratch: no seal, no branch arena, no
     /// pooled branch scratch, and one λp memo shared by every lead.
@@ -1024,11 +1025,7 @@ impl<'h> LogKEngine<'h> {
             cands,
         };
         let checkpoint = arena.len();
-        let result = if self.cfg.parallel
-            && depth < PARALLEL_DEPTH
-            && cands.len() > 1
-            && rayon::current_num_threads() > 1
-        {
+        let result = if self.cfg.parallel && depth < PARALLEL_DEPTH && cands.len() > 1 {
             // Seal once so every branch checkpoint is an Arc bump.
             arena.seal();
             self.child_loop_parallel(arena, level, prune)
@@ -1050,8 +1047,8 @@ impl<'h> LogKEngine<'h> {
 
     /// Races the leads of `cands` across the work-stealing pool
     /// ([`Self::race_leads`]), each lead one branch ([`Self::try_lead`])
-    /// on a private arena checkpoint and pooled scratch. Only entered on
-    /// pools with more than one worker (see [`Self::child_loop`]). The
+    /// on a private arena checkpoint and pooled scratch. Only entered by a
+    /// parallel engine (see [`Self::child_loop`]). The
     /// first success wins; an external interruption is reported unless a
     /// success raced ahead of it.
     ///

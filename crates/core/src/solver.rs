@@ -34,7 +34,7 @@ use crate::engine::{
 ///
 /// Building a pool spawns (and joining it reaps) OS threads — ~0.1 ms on
 /// a bench box, which dominates sub-millisecond solves
-/// (`micro/par_scaling` t1 measured the tax). Solvers therefore share one
+/// (`micro/par_scaling` once measured the tax). Solvers therefore share one
 /// long-lived pool per thread count: harness sweeps, benches and repeated
 /// [`LogK::decompose`] calls at the same width all reuse the same warm
 /// workers. Pools live for the process and are never reaped; idle workers
@@ -45,7 +45,10 @@ use crate::engine::{
 static POOL_CACHE: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
 
 /// Returns the process-wide work-stealing pool for `threads` workers,
-/// building (and caching) it on first use.
+/// building (and caching) it on first use. [`LogK::parallel`] and
+/// [`LogK::hybrid`] take theirs from here when `threads ≥ 2`; a solve on
+/// a 1-worker pool runs inline on the caller's thread, so
+/// `shared_pool(1)` only spawns an idle worker.
 pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
     let cache = POOL_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -136,11 +139,9 @@ impl std::fmt::Debug for SharedTables {
 pub enum Variant {
     /// Algorithm 1, verbatim (reference oracle; exponentially slower).
     Basic,
-    /// Algorithm 2, sequential.
+    /// Algorithm 2; parallel when the solver has a pool of two or more
+    /// workers ([`LogK::pool`]).
     Optimized,
-    /// Algorithm 2 with the λc leads raced across a rayon pool at
-    /// recursion depths below [`PARALLEL_DEPTH`](crate::engine::PARALLEL_DEPTH).
-    Parallel,
 }
 
 /// Configurable `log-k-decomp` solver.
@@ -148,13 +149,12 @@ pub enum Variant {
 pub struct LogK {
     /// Which engine to run.
     pub variant: Variant,
-    /// Worker threads for [`Variant::Parallel`]; `None` takes the ambient
-    /// worker count (`RAYON_NUM_THREADS`, else all cores). Resolved
-    /// through the process-wide pool cache (see [`shared_pool`]) unless
-    /// an explicit pool was attached with [`Self::with_pool`].
-    pub threads: Option<usize>,
-    /// Explicit pool attached by [`Self::with_pool`]; takes precedence
-    /// over `threads` for [`Variant::Parallel`] solves.
+    /// The work-stealing pool an Algorithm 2 solve runs on. With two or
+    /// more workers the solve runs on the pool and races its λc leads
+    /// across the workers at recursion depths below
+    /// [`PARALLEL_DEPTH`](crate::engine::PARALLEL_DEPTH). With `None` or a
+    /// 1-worker pool it runs inline on the caller's thread, as the
+    /// sequential search.
     pub pool: Option<Arc<ThreadPool>>,
     /// Hybrid handoff to `det-k-decomp` (Appendix D.2), if any.
     pub hybrid: Option<HybridConfig>,
@@ -178,7 +178,6 @@ impl LogK {
     pub fn sequential() -> Self {
         LogK {
             variant: Variant::Optimized,
-            threads: None,
             pool: None,
             hybrid: None,
             cache_bytes: DEFAULT_CACHE_BYTES,
@@ -196,18 +195,21 @@ impl LogK {
         }
     }
 
-    /// Parallel Algorithm 2 on `threads` workers.
+    /// Parallel Algorithm 2 on `threads` workers of the process-wide
+    /// pool ([`shared_pool`]). With `threads ≤ 1` there is no second
+    /// worker to race on, so the solver is [`Self::sequential`] and every
+    /// solve runs inline on the caller's thread.
     pub fn parallel(threads: usize) -> Self {
         LogK {
-            variant: Variant::Parallel,
-            threads: Some(threads),
+            pool: (threads >= 2).then(|| shared_pool(threads)),
             ..Self::sequential()
         }
     }
 
-    /// The paper's Hybrid configuration: parallel `log-k-decomp` with a
-    /// `det-k-decomp` handoff. `WeightedCount` with threshold 400 performed
-    /// best in Table 2 of the paper.
+    /// The paper's Hybrid configuration: [`Self::parallel`]`(threads)`
+    /// `log-k-decomp` with a `det-k-decomp` handoff (inline on the
+    /// caller's thread when `threads ≤ 1`). `WeightedCount` with
+    /// threshold 400 performed best in Table 2 of the paper.
     pub fn hybrid(threads: usize) -> Self {
         LogK {
             hybrid: Some(HybridConfig {
@@ -224,12 +226,10 @@ impl LogK {
         self
     }
 
-    /// Attaches an explicit work-stealing pool: every
-    /// [`Variant::Parallel`] solve of this solver runs inside `pool`'s
-    /// scope instead of resolving one from the process-wide cache.
-    /// Callers that already own a pool (long-running services, tests
-    /// pinning worker counts) amortise construction this way; everyone
-    /// else gets the same effect automatically via [`shared_pool`].
+    /// Replaces the solver's pool ([`Self::pool`]): with two or more
+    /// workers every Algorithm 2 solve runs on `pool` and races its λc
+    /// leads there; with one worker it runs inline on the caller's
+    /// thread, and `pool` is never entered.
     pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -291,7 +291,7 @@ impl LogK {
 
     fn engine_config(&self, k: usize) -> EngineConfig {
         EngineConfig {
-            parallel: matches!(self.variant, Variant::Parallel),
+            parallel: self.race_pool().is_some(),
             hybrid: self.hybrid,
             cache_bytes: self.cache_bytes,
             lambda_p_prefilter: self.lambda_p_prefilter,
@@ -300,14 +300,9 @@ impl LogK {
         }
     }
 
-    /// The pool a [`Variant::Parallel`] solve runs on: the explicitly
-    /// attached one, else the process-wide cached pool for the configured
-    /// (or ambient) thread count.
-    fn solve_pool(&self) -> Arc<ThreadPool> {
-        match &self.pool {
-            Some(pool) => Arc::clone(pool),
-            None => shared_pool(self.threads.unwrap_or_else(rayon::current_num_threads)),
-        }
+    /// The pool a solve runs on, when it has a second worker to race on.
+    fn race_pool(&self) -> Option<&ThreadPool> {
+        self.pool.as_deref().filter(|p| p.current_num_threads() > 1)
     }
 
     /// Decides `hw(H) ≤ k`, returning a validated-by-construction witness.
@@ -383,7 +378,7 @@ impl LogK {
                 let d = crate::basic::decompose_basic(hg, k, ctrl)?;
                 Ok((d, SolveStats::default()))
             }
-            Variant::Optimized | Variant::Parallel => {
+            Variant::Optimized => {
                 let cfg = self.engine_config(k);
                 let run = |engine: &LogKEngine<'_>| -> Result<
                     (Option<Decomposition>, SolveStats),
@@ -399,24 +394,21 @@ impl LogK {
                     };
                     Ok((d, stats))
                 };
-                // Resolve a pool only for the parallel variant —
-                // `solve_pool` spawns (and caches) threads as a side
-                // effect, which a sequential solve must not trigger.
-                if !matches!(self.variant, Variant::Parallel) {
-                    return run(&self.build_engine(hg, ctrl, cfg));
-                }
-                // The whole solve — λc join-races, hybrid det-k handoffs
-                // included — runs inside the pool's scope, i.e. on its
-                // worker threads: the bound is the worker count, exactly,
-                // however the search nests. The pool itself is long-lived
-                // (cached or caller-owned), so no per-solve spawn/join
-                // tax. Its counters are therefore cumulative: attribute
-                // the delta around this solve (advisory — concurrent
-                // solves sharing the pool blur into each other's deltas).
-                let pool = self.solve_pool();
-                let before = pool.scheduler_stats();
                 let engine = self.build_engine(hg, ctrl, cfg);
-                let out = pool.scope(|_| run(&engine));
+                // Without a second worker the solve runs inline on the
+                // caller's thread: no pool, no scheduler counters.
+                let Some(pool) = self.race_pool() else {
+                    return run(&engine);
+                };
+                // The whole solve — λc join-races, hybrid det-k handoffs
+                // included — runs on the pool's workers: the bound is the
+                // worker count, exactly, however the search nests. The
+                // pool is long-lived (cached or caller-owned), so its
+                // counters are cumulative: attribute the delta around
+                // this solve (advisory — concurrent solves sharing the
+                // pool blur into each other's deltas).
+                let before = pool.scheduler_stats();
+                let out = pool.install(|| run(&engine));
                 let after = pool.scheduler_stats();
                 out.map(|(d, mut stats)| {
                     stats.sched_steals = after.steals.saturating_sub(before.steals);

@@ -43,11 +43,14 @@
 //!   estimated key and fragment bytes. When an insert would overflow the
 //!   budget, the shard runs a second-chance sweep: entries touched since
 //!   the last sweep get their reference bit cleared, cold entries are
-//!   evicted until the new entry fits. An entry larger than the whole
-//!   budget is rejected before anything is evicted. Bytes are reserved
-//!   atomically before the sweep, so the budget holds exactly under
-//!   concurrent inserts on different shards. A budget of `0` disables
-//!   the table: every probe misses and every insert is dropped.
+//!   evicted until the new entry fits. The sweep evicts from the
+//!   inserting shard only, so an entry that shard cannot make room for
+//!   (one larger than the whole budget, or one whose overflow exceeds
+//!   the bytes the shard holds) is rejected before anything is evicted.
+//!   Bytes are reserved atomically before the sweep, so the budget holds
+//!   exactly under concurrent inserts on different shards. A budget of
+//!   `0` disables the table: every probe misses and every insert is
+//!   dropped.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
@@ -160,6 +163,8 @@ struct Shard {
     free: Vec<u32>,
     index: HashMap<u64, Vec<u32>>,
     hand: usize,
+    /// Bytes charged by this shard's entries: the most its sweep can free.
+    bytes: usize,
 }
 
 impl Shard {
@@ -189,11 +194,13 @@ impl Shard {
             }
         }
         self.free.push(id);
+        self.bytes -= entry.cost;
         entry
     }
 
     fn place(&mut self, entry: Entry) {
         let hash = entry.hash;
+        self.bytes += entry.cost;
         let id = match self.free.pop() {
             Some(id) => {
                 self.slots[id as usize] = Some(entry);
@@ -444,16 +451,20 @@ impl StripedTable {
 
     /// Reserves `cost` bytes and one entry for an insert into `shard`,
     /// sweeping the shard when the budget would overflow; `false` rejects
-    /// the insert with nothing reserved. An entry that could never fit is
-    /// rejected before the sweep, which would otherwise evict every cold
-    /// entry of the shard for nothing.
+    /// the insert with nothing reserved. An entry the shard cannot make
+    /// room for — one larger than the whole budget, or one whose overflow
+    /// exceeds the bytes the shard holds — is rejected before the sweep,
+    /// which would otherwise evict cold entries of the shard for nothing.
     fn admit(&self, shard: &mut Shard, cost: usize) -> bool {
         if cost > self.byte_budget {
             return false;
         }
         let prev = self.bytes.fetch_add(cost, Ordering::Relaxed);
-        if prev + cost > self.byte_budget {
-            self.sweep(shard);
+        let overflow = (prev + cost).saturating_sub(self.byte_budget);
+        if overflow > 0 {
+            if overflow <= shard.bytes {
+                self.sweep(shard);
+            }
             if self.bytes.load(Ordering::Relaxed) > self.byte_budget {
                 self.bytes.fetch_sub(cost, Ordering::Relaxed);
                 return false;
@@ -528,14 +539,13 @@ mod tests {
         StripedKey::build(arena, sub, conn, None).approx_bytes()
     }
 
-    /// Three keys of one shard (the sweep is per-shard), found among the
-    /// two-edge subproblems of a 12-cycle: 66 keys over 16 shards must
-    /// put three in one, whatever the run's hash seed.
-    fn same_shard_triple(
+    /// The 66 two-edge subproblems of a 12-cycle with their hashes,
+    /// grouped by shard (the sweep is per-shard).
+    fn keys_by_shard(
         hg: &Hypergraph,
         table: &StripedTable,
         arena: &SpecialArena,
-    ) -> Vec<(Subproblem, u64)> {
+    ) -> Vec<Vec<(Subproblem, u64)>> {
         let conn = hg.vertex_set();
         let mut by_shard: Vec<Vec<(Subproblem, u64)>> = (0..SHARDS).map(|_| Vec::new()).collect();
         for i in 0..12u32 {
@@ -545,7 +555,17 @@ mod tests {
                 by_shard[(h as usize) % SHARDS].push((sub, h));
             }
         }
-        let mut triple = by_shard
+        by_shard
+    }
+
+    /// Three keys of one shard: 66 keys over 16 shards must put three in
+    /// one, whatever the run's hash seed.
+    fn same_shard_triple(
+        hg: &Hypergraph,
+        table: &StripedTable,
+        arena: &SpecialArena,
+    ) -> Vec<(Subproblem, u64)> {
+        let mut triple = keys_by_shard(hg, table, arena)
             .into_iter()
             .find(|v| v.len() >= 3)
             .expect("66 keys over 16 shards must collide");
@@ -721,6 +741,54 @@ mod tests {
             "the rejected entry reserved nothing"
         );
         for sub in [a, b] {
+            assert!(matches!(
+                table.probe(&arena, sub, &conn, None),
+                Probe::Hit(None)
+            ));
+        }
+    }
+
+    /// When cold entries of *other* shards hold the bytes, the inserting
+    /// shard cannot make room by sweeping itself: the insert is rejected
+    /// and nothing is evicted.
+    #[test]
+    fn insert_the_shard_cannot_make_room_for_evicts_nothing() {
+        let hg = cycle12();
+        let arena = SpecialArena::new();
+        let conn = hg.vertex_set();
+        let one_cost = key_cost(&arena, &sub_of(&hg, &[0, 1]), &conn);
+        let table = StripedTable::new(2, 4 * one_cost);
+        let mut pairs = keys_by_shard(&hg, &table, &arena)
+            .into_iter()
+            .filter(|v| v.len() >= 2);
+        let (Some(full), Some(mut target)) = (pairs.next(), pairs.next()) else {
+            panic!(
+                "66 keys over 16 shards leave two shards with two keys unless the hash is skewed"
+            );
+        };
+        let (new, h_new) = target.pop().expect("two keys");
+        let cold: Vec<_> = full
+            .into_iter()
+            .take(2)
+            .chain(target.into_iter().take(1))
+            .collect();
+        for (sub, h) in &cold {
+            table.insert(*h, &arena, sub, &conn, None, None);
+        }
+        // A 404-byte entry (key and a two-node witness) fits the budget
+        // but overflows it by more than the target shard's one cold key.
+        let mut frag = Fragment::leaf(new.edges.iter().collect(), hg.union_of(&new.edges));
+        frag.attach_under(
+            0,
+            Fragment::leaf(vec![Edge(0)], hg.union_of_slice(&[Edge(0)])),
+        );
+        let cost = key_cost(&arena, &new, &conn)
+            + PortableFragment::from_fragment(&frag, &arena).approx_bytes();
+        assert!(cost > 2 * one_cost && cost <= 4 * one_cost, "cost {cost}");
+        table.insert(h_new, &arena, &new, &conn, None, Some(&frag));
+        let snap = table.snapshot();
+        assert_eq!((snap.evictions, snap.rejected, snap.entries), (0, 1, 3));
+        for (sub, _) in &cold {
             assert!(matches!(
                 table.probe(&arena, sub, &conn, None),
                 Probe::Hit(None)

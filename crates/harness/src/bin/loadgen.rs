@@ -6,11 +6,12 @@
 //! concurrent connections, and reports client-observed latency
 //! percentiles, shed rate and goodput as JSON.
 //!
-//! Flags: `--workers N` service executors (2), `--clients N` concurrent
-//! client threads (8), `--duration-ms N` sustained-load window (2000),
-//! `--deadline-ms N` per-request deadline (300), `--queue N` admission
-//! queue depth (4), `--seed N` traffic-mix seed (7), `--out PATH`
-//! output file (`BENCH_service_load.json`).
+//! Flags: `--workers N` service executors (2; the server's pool
+//! `workers` is 1, so each executor solves inline on its own thread),
+//! `--clients N` concurrent client threads (8), `--duration-ms N`
+//! sustained-load window (2000), `--deadline-ms N` per-request deadline
+//! (300), `--queue N` admission queue depth (4), `--seed N` traffic-mix
+//! seed (7), `--out PATH` output file (`BENCH_service_load.json`).
 //!
 //! The output follows the workspace bench schema (`group` + `benches`
 //! with `median_ns` entries, readable by `bench::parse_medians`);

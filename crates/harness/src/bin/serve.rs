@@ -8,9 +8,10 @@
 //! exactly one contained `Panicked` verdict. Exits non-zero if any
 //! verdict is unexpected, so CI can use it as a smoke test.
 //!
-//! Flags: `--executors N` (2), `--workers N` (0 = sequential),
-//! `--queue N` (16), `--deadline-ms N` (5000 default per request),
-//! `--inject-panic` (needs the `fault-injection` feature).
+//! Flags: `--executors N` (2), `--workers N` (0; 0 and 1 solve inline
+//! on the executor thread, N ≥ 2 on an N-worker pool), `--queue N` (16),
+//! `--deadline-ms N` (5000 default per request), `--inject-panic` (needs
+//! the `fault-injection` feature).
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -27,9 +27,9 @@
 //! cancelling the root cooperatively stops every queued *and* in-flight
 //! solve through the parent link, without tearing down threads.
 //!
-//! Panics inside a solve (including ones surfacing through the shared
-//! rayon pool's scope) are contained per request with
-//! [`std::panic::catch_unwind`]: the request gets an
+//! Panics inside a solve (including ones surfacing through
+//! `ThreadPool::install` of the shared rayon pool) are contained per
+//! request with [`std::panic::catch_unwind`]: the request gets an
 //! [`Outcome::Panicked`] verdict (after up to
 //! [`ServerConfig::max_retries`] re-executions) and the executor moves
 //! on. A second panic *while containing the first* aborts the process
@@ -60,12 +60,13 @@ pub struct ServerConfig {
     /// Each runs one request at a time, so this bounds solve concurrency.
     pub executors: usize,
     /// Worker threads of the work-stealing pool that `Decide` and
-    /// `MinimalWidth` solves run on. `0` solves with
-    /// [`LogK::sequential`] on the executor thread. `> 0` solves with
-    /// [`LogK::parallel`]`(workers)` on the process-wide pool of that
-    /// size ([`logk::shared_pool`]), shared by all executors: the top
-    /// recursion depths race their λc leads across its workers. `Race`
-    /// jobs ignore it; their two racers run on threads of their own.
+    /// `MinimalWidth` solves run on: they solve with
+    /// [`LogK::parallel`]`(workers)`. `0` and `1` both solve inline on
+    /// the executor thread, as [`LogK::sequential`]. `≥ 2` solves on the
+    /// process-wide pool of that size ([`logk::shared_pool`]), shared by
+    /// all executors: the top recursion depths race their λc leads
+    /// across its workers. `Race` jobs ignore it; their two racers run on
+    /// threads of their own.
     pub workers: usize,
     /// Bounded queue capacity (≥ 1 enforced); a full queue sheds with
     /// [`Rejected::Overloaded`] instead of buffering unboundedly.
@@ -641,11 +642,7 @@ impl Inner {
 /// The solver of a `Decide` or `MinimalWidth` checkout: see
 /// [`ServerConfig::workers`].
 fn solver(workers: usize, tables: SharedTables) -> LogK {
-    match workers {
-        0 => LogK::sequential(),
-        w => LogK::parallel(w),
-    }
-    .with_shared_tables(tables)
+    LogK::parallel(workers).with_shared_tables(tables)
 }
 
 /// Executor main loop: dequeue most-urgent-first, execute, repeat until

@@ -7,9 +7,10 @@
 //!
 //! This is the contract the `htdserve` service builds on: a server can
 //! only shed load, enforce deadlines and drain gracefully if no engine
-//! anywhere in the stack can wedge past its control. Run it with
-//! `RAYON_NUM_THREADS=1` and `=2` (CI does both): degenerate pools have
-//! historically been where cooperative-stop bugs hide.
+//! anywhere in the stack can wedge past its control. The `logk` cases
+//! name their worker counts: `parallel(1)` runs inline on the test
+//! thread, `parallel(2)` and `hybrid(2)` on a 2-worker pool, so both the
+//! inline path and the λc race are checked.
 //!
 //! Every `logk` solve here goes through `LogK::search_with_stats`, the
 //! search without the bounds pass, so instances the pass would settle
@@ -159,8 +160,8 @@ fn logk_child_parallel_cancels() {
 
 #[test]
 fn logk_child_sequential_fallback_times_out() {
-    // 1-worker pool: no λc race forks, every lead and component runs
-    // inline, and the stop contract must hold there too.
+    // One worker: the solve runs inline on the test thread, no λc race
+    // forks, and the stop contract must hold there too.
     let hg = hard_multi_component();
     assert_times_out("logk/children1", |c| {
         logk::LogK::parallel(1).search_with_stats(&hg, 3, c).err()

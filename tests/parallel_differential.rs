@@ -7,15 +7,18 @@
 //! The suite compares `LogK::parallel(2)` with `LogK::sequential()` on
 //! the corpus slice, the wide corpus, disjoint unions (whose empty root
 //! connector splits every root candidate into one component per part)
-//! and arbitrary small hypergraphs. `LogK::parallel(1)` never forks a
-//! race, so it must return the very witness `sequential()` returns.
+//! and arbitrary small hypergraphs. `LogK::parallel(1)` and
+//! `LogK::hybrid(1)` have no second worker, so they run inline on the
+//! caller's thread: they must return the very witness and the very
+//! counters of `sequential()` (with the paper's handoff policy for
+//! `hybrid(1)`), scheduler counters 0 included.
 //!
 //! Every `logk` solve here goes through `LogK::search_with_stats`, the
 //! search without the bounds pass, so instances the pass would settle
 //! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use decomp::{validate_hd_width, Control};
-use logk::LogK;
+use logk::{HybridConfig, HybridMetric, LogK};
 use proptest::prelude::*;
 use workloads::{families, hyperbench_like, wide_corpus, CorpusConfig, WideConfig};
 
@@ -58,8 +61,8 @@ fn corpus_parallel_matches_sequential() {
 /// A disjoint union of two grids: every root candidate splits into one
 /// `[λc]`-component per grid. At 2 workers the λc race must return the
 /// exact verdict with a valid witness, and the pool's steal counter must
-/// move — the second worker really takes leads. At 1 worker nothing is
-/// published, so nothing is stolen.
+/// move — the second worker really takes leads. At 1 worker the solve
+/// runs inline, so nothing is published and nothing is stolen.
 #[test]
 fn disjoint_grids_match_sequential_and_steal() {
     let hg = families::disjoint_union(&[families::grid(4, 4), families::grid(4, 4)]);
@@ -74,7 +77,7 @@ fn disjoint_grids_match_sequential_and_steal() {
 
     let (d1, s1) = LogK::parallel(1).search_with_stats(&hg, 3, &ctrl).unwrap();
     validate_hd_width(&hg, &d1.expect("verdict is worker-independent"), 3).unwrap();
-    assert_eq!(s1.sched_steals, 0, "a 1-worker pool has nobody to steal");
+    assert_eq!(s1.sched_steals, 0, "a 1-worker solve has nobody to steal");
 }
 
 /// The refutation side: at `k = 1` the union of two cycles is
@@ -141,19 +144,33 @@ proptest! {
 
     /// Arbitrary small hypergraphs (the vertex range leaves room for
     /// disconnected instances): sequential and 2-worker parallel
-    /// decisions coincide for every k, all witnesses validate, and the
-    /// 1-worker parallel engine returns the sequential witness itself.
+    /// decisions coincide for every k, and all witnesses validate. The
+    /// 1-worker engines are the sequential search itself: `parallel(1)`
+    /// prints the witness and `SolveStats` of `sequential()`, `hybrid(1)`
+    /// those of `sequential()` under the paper's handoff policy, and
+    /// neither touches a scheduler.
     #[test]
     fn parallel_decisions_match_sequential(hg in arb_hypergraph()) {
         let ctrl = Control::unlimited();
+        let paper = HybridConfig {
+            metric: HybridMetric::WeightedCount,
+            threshold: 400.0,
+        };
+        let one_worker_pairs = [
+            ("parallel(1)", LogK::parallel(1), LogK::sequential()),
+            ("hybrid(1)", LogK::hybrid(1), LogK::sequential().with_hybrid(Some(paper))),
+        ];
         let seq = LogK::sequential();
-        let par1 = LogK::parallel(1);
         let par2 = LogK::parallel(2);
         for k in 1..=3usize {
+            for (name, one, reference) in &one_worker_pairs {
+                let got = one.search_with_stats(&hg, k, &ctrl).unwrap();
+                let want = reference.search_with_stats(&hg, k, &ctrl).unwrap();
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{} at k={}", name, k);
+                prop_assert_eq!((got.1.sched_steals, got.1.sched_parks), (0, 0), "{} at k={}", name, k);
+            }
             let a = seq.search_with_stats(&hg, k, &ctrl).unwrap().0;
-            let b = par1.search_with_stats(&hg, k, &ctrl).unwrap().0;
             let c = par2.search_with_stats(&hg, k, &ctrl).unwrap().0;
-            prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "parallel(1) at k={}", k);
             prop_assert_eq!(a.is_some(), c.is_some(), "parallel(2) at k={}", k);
             for d in [&a, &c].into_iter().flatten() {
                 prop_assert!(validate_hd_width(&hg, d, k).is_ok());

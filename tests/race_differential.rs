@@ -2,8 +2,7 @@
 //! agrees with the sequential engine and names a racer of its field
 //! (`logk-seq` or `detk`), the loser is cancelled within the
 //! cooperative-stop latency, and the anytime width sweep never counts
-//! a width that ran out of its slice as refuted. CI runs it at
-//! `RAYON_NUM_THREADS` 1/2/4.
+//! a width that ran out of its slice as refuted.
 //!
 //! Under `--features fault-injection` the suite also pins the
 //! containment story at the portfolio's engine and join sites (a
