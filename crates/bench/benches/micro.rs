@@ -240,17 +240,20 @@ fn bench_lp_prune(c: &mut Criterion) {
 
 fn bench_par_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("micro/par_scaling");
-    // Parallel-runtime scaling probe: the 4×4 grid at its true width k = 3
-    // solved by the parallel engine on 1/2/4 workers. The λc race at
-    // depths < 2 is the only parallel surface, so this bench measures the
-    // scheduler itself — join-splitting of the lead space, steal latency
-    // and early-cancel — on a workload whose sequential baseline
-    // (`micro/lp_prune`, same instance) is ~2 ms. The `_t1` arms have no
-    // second worker: `LogK::parallel(1)` is `LogK::sequential()` and
-    // solves inline on the bench thread, so they time the sequential
-    // search. The `_t2`/`_t4` pools come from the process-wide cache
-    // (`logk::shared_pool`), as in production: the first iteration pays
-    // the one-off spawn, every later solve reuses the warm workers.
+    // Parallel-runtime scaling probe on 1/2/4 workers. A solve on two or
+    // more workers runs work-first: inline on the bench thread for up to
+    // `INLINE_SEPARATIONS` (1000) separations, and in the pool, racing its
+    // λc leads at depths < 2, only past them. The 4×4 grid at its true
+    // width k = 3 needs 685 separations, so `grid4x4_k3_t{2,4}` answer
+    // inline and time the gate: they should read as `grid4x4_k3_t1`,
+    // where `LogK::parallel(1)` is `LogK::sequential()` and never has a
+    // pool. The disjoint union below needs 1370, so
+    // `dgrid4x4x2_k3_t2` still times the race — join-splitting of the
+    // lead space, steal latency and early-cancel — after the spent
+    // inline phase. The `_t2`/`_t4` pools come from the process-wide
+    // cache (`logk::shared_pool`), as in production: the first solve
+    // that enters one pays the one-off spawn, every later one reuses the
+    // warm workers.
     let grid = families::grid(4, 4);
     for threads in [1usize, 2, 4] {
         let solver = LogK::parallel(threads);
@@ -260,7 +263,8 @@ fn bench_par_scaling(c: &mut Criterion) {
     }
     // A disjoint union of two 4×4 grids: the empty root connector splits
     // every root candidate into one `[λc]`-component per grid. The
-    // components recurse in order; only the λc race runs in parallel.
+    // components recurse in order; only the λc race runs in parallel, and
+    // at 2 workers it runs past the inline budget.
     let multi = families::disjoint_union(&[families::grid(4, 4), families::grid(4, 4)]);
     for threads in [1usize, 2] {
         let solver = LogK::parallel(threads);

@@ -36,15 +36,25 @@
 //! The λc search space is partitioned by lead edge, as in Appendix D.1,
 //! and walked lead by lead at every depth and in every variant: the leads
 //! of one `ChildLoop` run in order on the level's own arena and scratch,
-//! or — inside the racing depths of a parallel engine, which runs on a
-//! pool of two or more workers — race across the pool by recursive
-//! [`rayon::join`] splitting of the lead range. Idle workers steal the
-//! published halves, so the wildly uneven per-lead subtree costs balance
-//! themselves, and sibling branches are pruned (early-cancelled at every
-//! split and poll point) as soon as one candidate succeeds. This race is
-//! the engine's only parallelism: the `[λc]`-components below a candidate
-//! always recurse in order. `LogK::parallel(1)` has no second worker, so
-//! it is `LogK::sequential()` and runs inline on the caller's thread.
+//! or — inside the racing depths of a parallel engine's pool phase — race
+//! across the pool by recursive [`rayon::join`] splitting of the lead
+//! range. Idle workers steal the published halves, so the wildly uneven
+//! per-lead subtree costs balance themselves, and sibling branches are
+//! pruned (early-cancelled at every split and poll point) as soon as one
+//! candidate succeeds. This race is the engine's only parallelism: the
+//! `[λc]`-components below a candidate always recurse in order.
+//!
+//! Parallel solves are work-first, after lazy task creation (Mohr, Kranz
+//! and Halstead, 1991) and Cilk's work-first principle (Frigo, Leiserson
+//! and Randall, PLDI 1998): `LogK` on two or more workers first runs the
+//! search inline on the caller's thread, racing nothing, under a budget
+//! of [`INLINE_SEPARATIONS`] `separate_into` calls
+//! (`LogKEngine::decompose_within`). Only a search that spends the
+//! budget unanswered unwinds (`Stop::Budget`, never cached) and restarts
+//! from the root in the pool, on the same engine, so its subproblem
+//! cache keeps the inline phase's exhaustive verdicts.
+//! `LogK::parallel(1)` has no second worker, so it is
+//! `LogK::sequential()`: no budget, and inline on the caller's thread.
 //! Special edges are arena-allocated with stack discipline: a `Decomp`
 //! call restores the arena to its entry length before returning, so a
 //! returned fragment only ever references special edges of its own
@@ -55,7 +65,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use decomp::{Control, Decomposition, Fragment, Interrupted};
@@ -95,9 +105,21 @@ pub const DEFAULT_POS_CACHE_MAX_FRAG: usize = 2;
 const LP_MEMO_BYTES: usize = 4 << 20;
 
 /// Recursion depths below which a parallel engine
-/// ([`EngineConfig::parallel`]) races its λc leads across the pool.
-/// Deeper levels walk their leads inline.
+/// ([`EngineConfig::parallel`]) races its λc leads across the pool once
+/// its solve has passed the [`INLINE_SEPARATIONS`] budget. Deeper levels
+/// walk their leads inline.
 pub const PARALLEL_DEPTH: usize = 2;
+
+/// Separation budget of the work-first inline phase: a solve on two or
+/// more workers first runs inline on the caller's thread, racing nothing,
+/// and enters the pool only after this many `separate_into` calls gave no
+/// answer. The pool phase restarts from the root on the same engine, so
+/// the subproblem cache keeps every exhaustive verdict the inline phase
+/// reached. On `hblarge_t2` the median decision needs 388 separations and
+/// the 75th percentile 614; 1000 are 1–1.5 ms of work, roughly ten times
+/// the pool's fixed cost of about 0.13 ms per solve (BENCHMARKS.md,
+/// "Work-first solves on 2+ workers").
+pub const INLINE_SEPARATIONS: u64 = 1000;
 
 /// Complexity metric steering the hybrid handoff to `det-k-decomp`
 /// (Appendix D.2).
@@ -157,8 +179,11 @@ pub struct EngineConfig {
     /// Width bound `k ≥ 1`.
     pub k: usize,
     /// Race the λc leads across the current rayon pool at recursion
-    /// depths `< PARALLEL_DEPTH`. `LogK` sets it exactly when the solve
-    /// runs on a pool of two or more workers.
+    /// depths `< PARALLEL_DEPTH`, unless a separation budget is armed
+    /// (`LogKEngine::decompose_within`). `LogK` sets it exactly when the
+    /// solver has a pool of two or more workers, and runs such a solve in
+    /// the pool only once its inline phase has spent
+    /// [`INLINE_SEPARATIONS`].
     pub parallel: bool,
     /// Hybrid handoff policy, if any.
     pub hybrid: Option<HybridConfig>,
@@ -202,11 +227,14 @@ impl EngineConfig {
     }
 }
 
-/// Internal stop reasons: external interruption or sibling-branch pruning.
+/// Internal stop reasons: external interruption, sibling-branch pruning,
+/// or an exhausted separation budget. Only an exhaustive search answers
+/// "no", so `decomp` caches none of them.
 #[derive(Clone, Copy, Debug)]
 enum Stop {
     External(Interrupted),
     Pruned,
+    Budget,
 }
 
 /// Chain of prune flags for nested parallel races: a branch is dead if any
@@ -271,12 +299,17 @@ decomp::counters! {
     /// the [`EngineStats`] counters, plus what the solver fills in around
     /// the search.
     pub struct SolveStats {
+        /// Solves that spent their inline separation budget
+        /// ([`INLINE_SEPARATIONS`]) unanswered and restarted on the pool:
+        /// 0 or 1 per solve, and 0 for every solve on one worker.
+        pool_handoffs: u64 = sum,
         /// Jobs the pool's workers stole from a sibling's deque during the
-        /// solve — the work-stealing runtime actually redistributing load
-        /// (0 for every solve on one worker, which runs inline).
+        /// solve's pool phase — the work-stealing runtime actually
+        /// redistributing load (0 for every solve that answered inline).
         sched_steals: u64 = sum,
-        /// Times a pool worker parked for lack of work during the solve —
-        /// idle capacity the λc race did not fill (0 on one worker).
+        /// Times a pool worker parked for lack of work during the solve's
+        /// pool phase — idle capacity the λc race did not fill (0 for
+        /// every solve that answered inline).
         sched_parks: u64 = sum,
         /// Counters of the `det-k-decomp` memo table shared across
         /// handoffs (empty when no handoff ran).
@@ -307,7 +340,7 @@ decomp::counters! {
         scratch_grow_events: u64 = sum,
         /// Arena checkpoints handed to the leads of a λc race. Each is an
         /// `Arc` bump over the sealed prefix, not a deep copy (0 for
-        /// every solve on one worker).
+        /// every solve that answered inline).
         arena_branch_clones: u64 = sum,
         /// Hybrid handoffs to `det-k-decomp`.
         detk_handoffs: u64 = sum,
@@ -717,6 +750,9 @@ pub struct LogKEngine<'h> {
     /// Entry cap of each node-local λp split memo, derived from
     /// [`LP_MEMO_BYTES`] and this instance's per-entry bitset footprint.
     lp_memo_cap: usize,
+    /// Separations left to an inline phase ([`Self::decompose_within`]);
+    /// `None` outside one, which leaves the separation tick unarmed.
+    budget: Option<AtomicU64>,
 }
 
 type FragResult = Result<Option<Fragment>, Stop>;
@@ -777,6 +813,7 @@ impl<'h> LogKEngine<'h> {
             branch_pool: std::sync::Mutex::new(Vec::new()),
             detk_pool: std::sync::Mutex::new(Vec::new()),
             lp_memo_cap,
+            budget: None,
         }
     }
 
@@ -809,6 +846,35 @@ impl<'h> LogKEngine<'h> {
     /// single call `Decomp(⟨E(H), ∅⟩, ∅, E(H))`: the search starts with a
     /// balanced separator right away.
     pub fn decompose(&self) -> Result<Option<Decomposition>, Interrupted> {
+        self.decompose_root().map_err(|stop| match stop {
+            Stop::External(e) => e,
+            Stop::Pruned => unreachable!("no enclosing race at the top level"),
+            Stop::Budget => unreachable!("no separation budget is armed"),
+        })
+    }
+
+    /// The work-first inline phase: [`Self::decompose`] on the caller's
+    /// thread with racing off, stopped at the `separations + 1`-th
+    /// `separate_into` call. Returns `None` when the budget ran out
+    /// before an answer; the engine is then ready for an unbudgeted
+    /// [`Self::decompose`], which keeps the cached verdicts and the
+    /// counters of this phase.
+    pub(crate) fn decompose_within(
+        &mut self,
+        separations: u64,
+    ) -> Option<Result<Option<Decomposition>, Interrupted>> {
+        self.budget = Some(AtomicU64::new(separations));
+        let result = self.decompose_root();
+        self.budget = None;
+        match result {
+            Ok(d) => Some(Ok(d)),
+            Err(Stop::External(e)) => Some(Err(e)),
+            Err(Stop::Budget) => None,
+            Err(Stop::Pruned) => unreachable!("no enclosing race at the top level"),
+        }
+    }
+
+    fn decompose_root(&self) -> Result<Option<Decomposition>, Stop> {
         if self.hg.num_edges() == 0 {
             return Ok(Some(Decomposition::singleton(vec![], self.hg.vertex_set())));
         }
@@ -819,15 +885,30 @@ impl<'h> LogKEngine<'h> {
         let allowed = Arc::new(self.hg.all_edges());
         let result = self.decomp(&mut arena, &sub, &conn, &allowed, 0, None, &mut stack);
         self.fold_meters(stack_totals(&stack));
-        match result {
-            Ok(Some(frag)) => Ok(Some(
+        result.map(|found| {
+            found.map(|frag| {
                 frag.into_decomposition()
-                    .expect("whole-graph fragments have no special leaves"),
-            )),
-            Ok(None) => Ok(None),
-            Err(Stop::External(e)) => Err(e),
-            Err(Stop::Pruned) => unreachable!("no enclosing race at the top level"),
+                    .expect("whole-graph fragments have no special leaves")
+            })
+        })
+    }
+
+    /// Counts one `separate_into` call at the level of `meters`, first
+    /// charging it to an armed separation budget: past the budget the
+    /// call is not made and the search unwinds with [`Stop::Budget`].
+    #[inline]
+    fn tick_separation(&self, meters: &LevelMeters) -> Result<(), Stop> {
+        if let Some(left) = &self.budget {
+            // An armed budget runs inline on one thread: a plain
+            // load/store pair suffices.
+            let n = left.load(Ordering::Relaxed);
+            if n == 0 {
+                return Err(Stop::Budget);
+            }
+            left.store(n - 1, Ordering::Relaxed);
         }
+        meters.bump_separation();
+        Ok(())
     }
 
     /// Folds retired scratch meters into the engine statistics.
@@ -1025,7 +1106,8 @@ impl<'h> LogKEngine<'h> {
             cands,
         };
         let checkpoint = arena.len();
-        let result = if self.cfg.parallel && depth < PARALLEL_DEPTH && cands.len() > 1 {
+        let race = self.cfg.parallel && self.budget.is_none();
+        let result = if race && depth < PARALLEL_DEPTH && cands.len() > 1 {
             // Seal once so every branch checkpoint is an Arc bump.
             arena.seal();
             self.child_loop_parallel(arena, level, prune)
@@ -1254,7 +1336,9 @@ impl<'h> LogKEngine<'h> {
         }
         meters.bump_grow(self.hg.union_of_slice_into(lam_c, union_c));
         // Line 12: [λc]-components of H'.
-        meters.bump_separation();
+        if let Err(e) = self.tick_separation(meters) {
+            return ControlFlow::Break(Err(e));
+        }
         separate_into(self.hg, arena, sub, union_c, pair.down.bfs, seps_c);
         // Line 13: χc must be a balanced separator of H'. (⋃λc
         // over-approximates χc: if ⋃λc is unbalanced, so is χc.)
@@ -1497,7 +1581,9 @@ impl<'h> LogKEngine<'h> {
                 );
             }
         }
-        meters.bump_separation();
+        if let Err(e) = self.tick_separation(meters) {
+            return ControlFlow::Break(Err(e));
+        }
         separate_into(self.hg, arena, sub, union_p, down.bfs, seps_p);
         // Lines 24–27: the oversized component becomes comp_down.
         let over = seps_p.oversized_component(sub.size());
@@ -1594,7 +1680,7 @@ impl<'h> LogKEngine<'h> {
             stack,
         } = down;
         // Line 33: [χc]-components of comp_down.
-        meters.bump_separation();
+        self.tick_separation(meters)?;
         separate_into(
             self.hg,
             arena,

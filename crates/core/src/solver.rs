@@ -27,7 +27,7 @@ use rayon::ThreadPool;
 use crate::cache::{CacheSnapshot, StripedTable};
 use crate::engine::{
     EngineConfig, HybridConfig, HybridMetric, LogKEngine, SolveStats, DEFAULT_CACHE_BYTES,
-    DEFAULT_POS_CACHE_MAX_FRAG,
+    DEFAULT_POS_CACHE_MAX_FRAG, INLINE_SEPARATIONS,
 };
 
 /// Process-wide cache of work-stealing pools, keyed by worker count.
@@ -46,9 +46,10 @@ static POOL_CACHE: OnceLock<Mutex<HashMap<usize, Arc<ThreadPool>>>> = OnceLock::
 
 /// Returns the process-wide work-stealing pool for `threads` workers,
 /// building (and caching) it on first use. [`LogK::parallel`] and
-/// [`LogK::hybrid`] take theirs from here when `threads ≥ 2`; a solve on
-/// a 1-worker pool runs inline on the caller's thread, so
-/// `shared_pool(1)` only spawns an idle worker.
+/// [`LogK::hybrid`] take theirs from here when `threads ≥ 2`, and a solve
+/// enters it only past its inline separation budget
+/// ([`INLINE_SEPARATIONS`]). A solve on a 1-worker pool runs inline on
+/// the caller's thread, so `shared_pool(1)` only spawns an idle worker.
 pub fn shared_pool(threads: usize) -> Arc<ThreadPool> {
     let cache = POOL_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
@@ -139,8 +140,8 @@ impl std::fmt::Debug for SharedTables {
 pub enum Variant {
     /// Algorithm 1, verbatim (reference oracle; exponentially slower).
     Basic,
-    /// Algorithm 2; parallel when the solver has a pool of two or more
-    /// workers ([`LogK::pool`]).
+    /// Algorithm 2; parallel past its inline separation budget when the
+    /// solver has a pool of two or more workers ([`LogK::pool`]).
     Optimized,
 }
 
@@ -149,12 +150,15 @@ pub enum Variant {
 pub struct LogK {
     /// Which engine to run.
     pub variant: Variant,
-    /// The work-stealing pool an Algorithm 2 solve runs on. With two or
-    /// more workers the solve runs on the pool and races its λc leads
-    /// across the workers at recursion depths below
-    /// [`PARALLEL_DEPTH`](crate::engine::PARALLEL_DEPTH). With `None` or a
-    /// 1-worker pool it runs inline on the caller's thread, as the
-    /// sequential search.
+    /// The work-stealing pool an Algorithm 2 solve may race on. With two
+    /// or more workers the solve runs work-first: inline on the caller's
+    /// thread, as the sequential search, for up to
+    /// [`INLINE_SEPARATIONS`] `separate_into` calls; a solve still
+    /// unanswered then restarts on the pool and races its λc leads across
+    /// the workers at recursion depths below
+    /// [`PARALLEL_DEPTH`](crate::engine::PARALLEL_DEPTH)
+    /// ([`SolveStats::pool_handoffs`]). With `None` or a 1-worker pool it
+    /// runs inline throughout.
     pub pool: Option<Arc<ThreadPool>>,
     /// Hybrid handoff to `det-k-decomp` (Appendix D.2), if any.
     pub hybrid: Option<HybridConfig>,
@@ -196,9 +200,11 @@ impl LogK {
     }
 
     /// Parallel Algorithm 2 on `threads` workers of the process-wide
-    /// pool ([`shared_pool`]). With `threads ≤ 1` there is no second
-    /// worker to race on, so the solver is [`Self::sequential`] and every
-    /// solve runs inline on the caller's thread.
+    /// pool ([`shared_pool`]). Each solve starts inline and enters the
+    /// pool only past its separation budget ([`Self::pool`]). With
+    /// `threads ≤ 1` there is no second worker to race on, so the solver
+    /// is [`Self::sequential`] and every solve runs inline on the caller's
+    /// thread.
     pub fn parallel(threads: usize) -> Self {
         LogK {
             pool: (threads >= 2).then(|| shared_pool(threads)),
@@ -227,9 +233,10 @@ impl LogK {
     }
 
     /// Replaces the solver's pool ([`Self::pool`]): with two or more
-    /// workers every Algorithm 2 solve runs on `pool` and races its λc
-    /// leads there; with one worker it runs inline on the caller's
-    /// thread, and `pool` is never entered.
+    /// workers an Algorithm 2 solve that spends its inline separation
+    /// budget unanswered restarts on `pool` and races its λc leads there;
+    /// with one worker it runs inline on the caller's thread, and `pool`
+    /// is never entered.
     pub fn with_pool(mut self, pool: Arc<ThreadPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -300,7 +307,8 @@ impl LogK {
         }
     }
 
-    /// The pool a solve runs on, when it has a second worker to race on.
+    /// The pool a solve races on past its inline budget, when it has a
+    /// second worker.
     fn race_pool(&self) -> Option<&ThreadPool> {
         self.pool.as_deref().filter(|p| p.current_num_threads() > 1)
     }
@@ -378,45 +386,61 @@ impl LogK {
                 let d = crate::basic::decompose_basic(hg, k, ctrl)?;
                 Ok((d, SolveStats::default()))
             }
-            Variant::Optimized => {
-                let cfg = self.engine_config(k);
-                let run = |engine: &LogKEngine<'_>| -> Result<
-                    (Option<Decomposition>, SolveStats),
-                    Interrupted,
-                > {
-                    let d = engine.decompose()?;
-                    // Scheduler activity is attributed by the caller
-                    // (the pool's delta around the solve).
-                    let stats = SolveStats {
-                        detk_memo: engine.detk_memo_snapshot(),
-                        cache: engine.cache_snapshot(),
-                        ..engine.stats().snapshot()
-                    };
-                    Ok((d, stats))
-                };
-                let engine = self.build_engine(hg, ctrl, cfg);
-                // Without a second worker the solve runs inline on the
-                // caller's thread: no pool, no scheduler counters.
-                let Some(pool) = self.race_pool() else {
-                    return run(&engine);
-                };
-                // The whole solve — λc join-races, hybrid det-k handoffs
-                // included — runs on the pool's workers: the bound is the
-                // worker count, exactly, however the search nests. The
-                // pool is long-lived (cached or caller-owned), so its
-                // counters are cumulative: attribute the delta around
-                // this solve (advisory — concurrent solves sharing the
-                // pool blur into each other's deltas).
-                let before = pool.scheduler_stats();
-                let out = pool.install(|| run(&engine));
-                let after = pool.scheduler_stats();
-                out.map(|(d, mut stats)| {
-                    stats.sched_steals = after.steals.saturating_sub(before.steals);
-                    stats.sched_parks = after.parks.saturating_sub(before.parks);
-                    (d, stats)
-                })
-            }
+            Variant::Optimized => self.search_within(hg, k, ctrl, INLINE_SEPARATIONS),
         }
+    }
+
+    /// The Algorithm 2 search, work-first: a solve with a second worker
+    /// runs inline on the caller's thread under a budget of
+    /// `inline_separations` `separate_into` calls, and only a solve that
+    /// spends it unanswered enters the pool. [`Self::search`] passes
+    /// [`INLINE_SEPARATIONS`]; the unit tests sweep the budget.
+    pub(crate) fn search_within(
+        &self,
+        hg: &Hypergraph,
+        k: usize,
+        ctrl: &Control,
+        inline_separations: u64,
+    ) -> Result<(Option<Decomposition>, SolveStats), Interrupted> {
+        let stats_of = |engine: &LogKEngine<'_>| SolveStats {
+            detk_memo: engine.detk_memo_snapshot(),
+            cache: engine.cache_snapshot(),
+            ..engine.stats().snapshot()
+        };
+        let mut engine = self.build_engine(hg, ctrl, self.engine_config(k));
+        // Without a second worker the solve runs inline on the caller's
+        // thread: no pool, no budget, no scheduler counters.
+        let Some(pool) = self.race_pool() else {
+            let d = engine.decompose()?;
+            return Ok((d, stats_of(&engine)));
+        };
+        // Work-first: a yes, no or interruption within the budget is
+        // the answer, and the pool is never touched.
+        if let Some(out) = engine.decompose_within(inline_separations) {
+            return out.map(|d| (d, stats_of(&engine)));
+        }
+        // Past the budget the solve restarts from the root on the pool,
+        // racing its λc leads, on the same engine: its cache keeps the
+        // inline phase's exhaustive verdicts and its counters add up.
+        // The whole pool phase — λc join-races, hybrid det-k handoffs
+        // included — runs on the pool's workers, so the bound is the
+        // worker count, exactly, however the search nests. The pool is
+        // long-lived (cached or caller-owned), so its counters are
+        // cumulative: attribute the delta around this phase (advisory —
+        // concurrent solves sharing the pool blur into each other's
+        // deltas).
+        let before = pool.scheduler_stats();
+        let d = pool.install(|| engine.decompose());
+        let after = pool.scheduler_stats();
+        Ok((
+            d?,
+            SolveStats {
+                pool_handoffs: 1,
+                sched_steals: after.steals.saturating_sub(before.steals),
+                sched_parks: after.parks.saturating_sub(before.parks),
+                ..stats_of(&engine)
+            },
+        ))
     }
 
     /// Computes the exact hypertree width by solving `k = 1, 2, …, k_max`.

@@ -149,6 +149,38 @@ fn parallel_matches_sequential() {
     }
 }
 
+/// The work-first gate cut short at every stride of its separation
+/// budget: on `grid(4,4)` at k = 2 (a refutation, 1332 separations) and
+/// at k = 3 (a witness, 685 separations), a 2-worker solve that spends its
+/// inline budget restarts on the pool with the inline phase's cache. The
+/// verdict must stay `sequential()`'s and every witness must validate, so
+/// a subtree the budget cut short is never cached as "no". A budget that
+/// covers the whole search answers inline, without a pool handoff.
+#[test]
+fn inline_budget_sweep_keeps_verdicts() {
+    let ctrl = Control::unlimited();
+    let hg = grid(4, 4);
+    let par = LogK::parallel(2);
+    for (k, total) in [(2usize, 1332u64), (3, 685)] {
+        let (want, stats) = LogK::sequential().search_with_stats(&hg, k, &ctrl).unwrap();
+        assert_eq!(stats.separations, total, "k={k}");
+        assert_eq!(want.is_some(), k == 3, "hw(grid(4,4)) = 3");
+        let budgets = (1..total).step_by(131).chain([total - 1, total]);
+        for budget in budgets {
+            let (got, stats) = par.search_within(&hg, k, &ctrl, budget).unwrap();
+            assert_eq!(got.is_some(), want.is_some(), "k={k} budget={budget}");
+            if let Some(d) = &got {
+                validate_hd_width(&hg, d, k).unwrap();
+            }
+            assert_eq!(
+                stats.pool_handoffs,
+                u64::from(budget < total),
+                "k={k} budget={budget}"
+            );
+        }
+    }
+}
+
 #[test]
 fn hybrid_matches_sequential() {
     let ctrl = Control::unlimited();

@@ -62,11 +62,13 @@ pub struct ServerConfig {
     /// Worker threads of the work-stealing pool that `Decide` and
     /// `MinimalWidth` solves run on: they solve with
     /// [`LogK::parallel`]`(workers)`. `0` and `1` both solve inline on
-    /// the executor thread, as [`LogK::sequential`]. `≥ 2` solves on the
-    /// process-wide pool of that size ([`logk::shared_pool`]), shared by
-    /// all executors: the top recursion depths race their λc leads
-    /// across its workers. `Race` jobs ignore it; their two racers run on
-    /// threads of their own.
+    /// the executor thread, as [`LogK::sequential`]. With `≥ 2` a solve
+    /// still starts inline on the executor thread, and only one that
+    /// spends [`logk::engine::INLINE_SEPARATIONS`] separations unanswered
+    /// moves to the process-wide pool of that size
+    /// ([`logk::shared_pool`]), shared by all executors: there the top
+    /// recursion depths race their λc leads across its workers. `Race`
+    /// jobs ignore it; their two racers run on threads of their own.
     pub workers: usize,
     /// Bounded queue capacity (≥ 1 enforced); a full queue sheds with
     /// [`Rejected::Overloaded`] instead of buffering unboundedly.

@@ -7,7 +7,10 @@
 //! *positive* fragments too (arena-independent, re-interned on reuse) and
 //! evicts under memory pressure, so the suite additionally asserts that
 //! positive hits actually occur and that eviction degrades capacity, not
-//! correctness.
+//! correctness. A `parallel(2)` solve runs inline until it has spent
+//! `INLINE_SEPARATIONS` separations and races on the pool only past
+//! them, restarting from the root with the inline phase's cache, so the
+//! parallel arms assert that some of their solves cross the budget.
 //!
 //! Every `logk` solve here goes through `LogK::search_with_stats`, the
 //! search without the bounds pass, so instances the pass would settle
@@ -47,6 +50,7 @@ fn corpus_cached_matches_uncached_sequential_and_parallel() {
     for (mode, cached, uncached) in configs {
         let mut cyclic_hits = 0u64;
         let mut pos_hits = 0u64;
+        let mut pool_handoffs = 0u64;
         let mut checked = 0usize;
         for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
             for k in 1..=k_max {
@@ -67,6 +71,7 @@ fn corpus_cached_matches_uncached_sequential_and_parallel() {
                     cyclic_hits += sc.cache.hits();
                 }
                 pos_hits += sc.cache.pos_hits;
+                pool_handoffs += sc.pool_handoffs + su.pool_handoffs;
                 // Every stitched decomposition goes through decomp's full
                 // validator — including those assembled from re-interned
                 // positive-cache fragments.
@@ -101,6 +106,40 @@ fn corpus_cached_matches_uncached_sequential_and_parallel() {
             pos_hits > 0,
             "{mode}: expected positive-fragment reuse across the corpus"
         );
+        // The uncached search of `syn_bounded_040e_0003` at k = 1 needs
+        // over 5000 separations.
+        assert_eq!(
+            pool_handoffs > 0,
+            mode == "parallel",
+            "{mode}: only 2-worker solves past the inline budget race"
+        );
+    }
+}
+
+/// Cached 2-worker solves past the inline budget: `grid(4,4)` at k = 2
+/// (a refutation, 1332 separations) and `grid(4,5)` at k = 3 (a witness,
+/// 3841). Each restarts on the pool with the verdicts its inline phase
+/// cached, and must agree with the uncached engine.
+#[test]
+fn cached_pool_phase_matches_uncached() {
+    let ctrl = Control::unlimited();
+    for (hg, k) in [
+        (workloads::families::grid(4, 4), 2usize),
+        (workloads::families::grid(4, 5), 3),
+    ] {
+        let (dc, sc) = LogK::parallel(2).search_with_stats(&hg, k, &ctrl).unwrap();
+        let du = LogK::sequential()
+            .with_cache_bytes(0)
+            .search_with_stats(&hg, k, &ctrl)
+            .unwrap()
+            .0;
+        assert_eq!(sc.pool_handoffs, 1, "k={k}: {sc:?}");
+        assert!(sc.cache.hits() > 0, "k={k}: {sc:?}");
+        assert_eq!(dc.is_some(), du.is_some(), "k={k}");
+        assert_eq!(dc.is_some(), k == 3, "hw = 3 for both grids");
+        for d in [&dc, &du].into_iter().flatten() {
+            validate_hd_width(&hg, d, k).unwrap();
+        }
     }
 }
 

@@ -9,8 +9,12 @@
 //! only shed load, enforce deadlines and drain gracefully if no engine
 //! anywhere in the stack can wedge past its control. The `logk` cases
 //! name their worker counts: `parallel(1)` runs inline on the test
-//! thread, `parallel(2)` and `hybrid(2)` on a 2-worker pool, so both the
-//! inline path and the λc race are checked.
+//! thread. `parallel(2)` and `hybrid(2)` run work-first: inline until
+//! their search has spent `INLINE_SEPARATIONS` separations, then on a
+//! 2-worker pool. The deadline cases fire wherever the solve is by then;
+//! [`logk_parallel_cancels_in_the_pool_phase`] cancels only once the pool
+//! has stolen a λc lead, so both the inline path and the λc race are
+//! checked.
 //!
 //! Every `logk` solve here goes through `LogK::search_with_stats`, the
 //! search without the bounds pass, so instances the pass would settle
@@ -138,6 +142,45 @@ fn logk_parallel_cancels() {
     assert_cancels("logk/par2", |c| {
         logk::LogK::parallel(2).search_with_stats(&hg, 3, c).err()
     });
+}
+
+/// An interruption that lands in the pool phase: the solve runs on a
+/// private 2-worker pool, and the killer cancels only after that pool
+/// has stolen a λc lead. Only a solve past its inline budget enters the
+/// pool, so the steal proves the cancellation finds the λc race running.
+#[test]
+fn logk_parallel_cancels_in_the_pool_phase() {
+    let hg = hard_logk();
+    let pool = Arc::new(
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .expect("2-worker pool"),
+    );
+    let solver = logk::LogK::parallel(2).with_pool(Arc::clone(&pool));
+    let ctrl = Arc::new(Control::unlimited());
+    let killer = {
+        let ctrl = Arc::clone(&ctrl);
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            while pool.scheduler_stats().steals == 0 && t0.elapsed() < LATENCY {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let raced = pool.scheduler_stats().steals > 0;
+            ctrl.cancel();
+            (raced, Instant::now())
+        })
+    };
+    let got = solver.search_with_stats(&hg, 3, &ctrl).err();
+    let returned = Instant::now();
+    let (raced, cancelled) = killer.join().expect("killer thread");
+    assert!(raced, "the solve never raced on the pool");
+    assert_eq!(got, Some(Interrupted::Cancelled));
+    assert!(
+        returned.saturating_duration_since(cancelled) < LATENCY,
+        "cancellation in the pool phase honoured only after {:?}",
+        returned.saturating_duration_since(cancelled)
+    );
 }
 
 // ---- log-k-decomp, multi-component instance ----

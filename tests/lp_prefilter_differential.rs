@@ -7,7 +7,11 @@
 //! only change how many separations run, never the answer. On the grid
 //! family (the workload whose `lambda_p_rejected` counter motivated the
 //! filter) the suite additionally asserts that the filter actually fires
-//! and that it erases the majority of `separate_into` calls.
+//! and that it erases the majority of `separate_into` calls. A
+//! `parallel(2)` solve runs inline until it has spent
+//! `INLINE_SEPARATIONS` separations and races on the pool only past
+//! them. The parallel arms assert that some of their solves cross that
+//! budget; the unfiltered grid searches always do.
 //!
 //! Every `logk` solve here goes through `LogK::search_with_stats`, the
 //! search without the bounds pass, so instances the pass would settle
@@ -45,10 +49,12 @@ fn corpus_prefiltered_matches_unfiltered_sequential_and_parallel() {
 
     for (mode, filtered, unfiltered) in configs {
         let mut checked = 0usize;
+        let mut pool_handoffs = 0u64;
         for inst in corpus.iter().filter(|i| i.hg.num_edges() <= 40) {
             for k in 1..=k_max {
                 let (df, sf) = filtered.search_with_stats(&inst.hg, k, &ctrl).unwrap();
                 let (du, su) = unfiltered.search_with_stats(&inst.hg, k, &ctrl).unwrap();
+                pool_handoffs += sf.pool_handoffs + su.pool_handoffs;
                 assert_eq!(
                     df.is_some(),
                     du.is_some(),
@@ -95,6 +101,11 @@ fn corpus_prefiltered_matches_unfiltered_sequential_and_parallel() {
             checked += 1;
         }
         assert!(checked > 10, "{mode}: corpus slice unexpectedly small");
+        assert_eq!(
+            pool_handoffs > 0,
+            mode == "parallel",
+            "{mode}: only 2-worker solves past the inline budget race"
+        );
     }
 }
 
@@ -132,6 +143,11 @@ fn grid_prefilter_fires_and_erases_most_separations() {
                 sf.lambda_p_prefiltered > 0,
                 "{mode}: pre-filter must fire on {name}"
             );
+            // Unfiltered, the inline phase spends its whole budget, so
+            // the parallel arm races on the pool.
+            if mode == "parallel" {
+                assert_eq!(su.pool_handoffs, 1, "{name}: {su:?}");
+            }
             // The ≥5× acceptance bar is deterministic only sequentially;
             // parallel counts depend on which branch wins the "any" race.
             if mode == "sequential" {

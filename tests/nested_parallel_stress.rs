@@ -4,13 +4,21 @@
 //! rayon's oversubscription bug fired (nested races fell back to
 //! `available_parallelism()` and multiplied their thread count). Under
 //! the work-stealing runtime the bound holds by construction — a solve
-//! on 2 or more workers runs in `ThreadPool::install`, only the pool's
-//! workers execute its jobs, and nested `join` races stay on those
-//! workers — but it remains the load-bearing invariant, so this suite
-//! keeps pinning it end to end: nested joins under `install`, hybrid
-//! det-k handoffs on pool workers, and the steal/park counters the
-//! solver surfaces. A solve on one worker never enters a pool; the
-//! differential suites pin that it is the sequential search.
+//! on 2 or more workers that passes its inline separation budget runs in
+//! `ThreadPool::install`, only the pool's workers execute its jobs, and
+//! nested `join` races stay on those workers — but it remains the
+//! load-bearing invariant, so this suite keeps pinning it end to end:
+//! nested joins under `install`, hybrid det-k handoffs on pool workers,
+//! and the pool handoff and steal/park counters the solver surfaces. A
+//! solve on one worker, or one that answers within its inline budget,
+//! never enters a pool; the differential suites pin that it is the
+//! sequential search.
+//!
+//! Under the paper's policy (`WeightedCount` < 400) every corpus instance
+//! here is det-k at the root, which spends no log-k separation, so those
+//! `hybrid(2)` solves answer inline. [`racing_hybrid`] lowers the
+//! threshold so that log-k splits `grid(4,5)` for 3356 separations
+//! before handing the small parts to det-k on the pool.
 //!
 //! `RAYON_NUM_THREADS` sizes only the global pool that a `join` called
 //! outside any pool runs on (and pools built with zero threads); no
@@ -25,7 +33,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use decomp::{validate_hd_width, Control};
-use logk::LogK;
+use hypergraph::Hypergraph;
+use logk::{HybridConfig, HybridMetric, LogK};
 use workloads::{families, hyperbench_like, CorpusConfig};
 
 /// Corpus sweep with hybrid handoffs enabled under a 2-thread pool:
@@ -85,9 +94,25 @@ fn check_hybrid_matches_sequential(max_edges: usize) {
     );
 }
 
+/// `grid(4,5)` at k = 3 under `hybrid(2)` with a `WeightedCount`
+/// threshold of 10: log-k spends its inline budget splitting the grid, so
+/// the solve restarts on the pool, races its λc leads there and hands
+/// the small parts to det-k on the pool's workers.
+fn racing_hybrid() -> (Hypergraph, LogK) {
+    let policy = HybridConfig {
+        metric: HybridMetric::WeightedCount,
+        threshold: 10.0,
+    };
+    (
+        families::grid(4, 5),
+        LogK::hybrid(2).with_hybrid(Some(policy)),
+    )
+}
+
 /// The grid workload (deep recursion, heavy λ racing) with hybrid
 /// handoffs under a 2-thread pool — the heaviest nested-parallel shape
-/// the engine produces.
+/// the engine produces. Under the paper's policy `grid(4,4)` is det-k at
+/// the root and answers inline; [`racing_hybrid`] races.
 #[test]
 fn grid_hybrid_under_two_thread_pool() {
     let ctrl = Control::unlimited();
@@ -98,6 +123,12 @@ fn grid_hybrid_under_two_thread_pool() {
         .0
         .expect("the 4×4 grid has hw = 3");
     validate_hd_width(&hg, &d, 3).unwrap();
+
+    let (hg, hybrid) = racing_hybrid();
+    let (d, stats) = hybrid.search_with_stats(&hg, 3, &ctrl).unwrap();
+    validate_hd_width(&hg, &d.expect("the 4×5 grid has hw = 3"), 3).unwrap();
+    assert_eq!(stats.pool_handoffs, 1, "{stats:?}");
+    assert!(stats.detk_handoffs > 0, "{stats:?}");
 }
 
 /// Counts live calls of a timed body and records the maximum.
@@ -179,8 +210,10 @@ fn install_and_join_respect_the_pool_bound() {
 /// The hybrid driver under the stealing pool, with the scheduler's own
 /// activity surfaced: per-solve pools report steal/park counters through
 /// `SolveStats`, and a corpus of hybrid solves (det-k handoffs under
-/// 2-worker pools) both stays correct and actually exercises the
-/// scheduler (workers park when idle and/or steal published λc leads).
+/// 2-worker pools) stays correct. The corpus solves answer inline, so
+/// [`racing_hybrid`] is added: it is handed to the pool and actually
+/// exercises the scheduler (workers park when idle and/or steal published
+/// λc leads).
 #[test]
 fn hybrid_handoffs_surface_scheduler_counters() {
     let corpus = hyperbench_like(CorpusConfig {
@@ -206,6 +239,12 @@ fn hybrid_handoffs_surface_scheduler_counters() {
             }
         }
     }
+    let (hg, racing) = racing_hybrid();
+    let (d, stats) = racing.search_with_stats(&hg, 3, &ctrl).unwrap();
+    validate_hd_width(&hg, &d.expect("the 4×5 grid has hw = 3"), 3).unwrap();
+    assert_eq!(stats.pool_handoffs, 1, "{stats:?}");
+    handoffs += stats.detk_handoffs;
+    sched_activity += stats.sched_steals + stats.sched_parks;
     assert!(solves > 10, "corpus slice unexpectedly small");
     assert!(
         handoffs > 0,

@@ -11,13 +11,18 @@
 //! `LogK::hybrid(1)` have no second worker, so they run inline on the
 //! caller's thread: they must return the very witness and the very
 //! counters of `sequential()` (with the paper's handoff policy for
-//! `hybrid(1)`), scheduler counters 0 included.
+//! `hybrid(1)`), scheduler counters 0 included. `LogK::parallel(2)` runs
+//! work-first: inline like `sequential()` for its first
+//! `INLINE_SEPARATIONS` separations, and on the pool only past them. A
+//! search under that budget must print `sequential()`'s witness and
+//! counters with no pool handoff; the steal test crosses it.
 //!
 //! Every `logk` solve here goes through `LogK::search_with_stats`, the
 //! search without the bounds pass, so instances the pass would settle
 //! (k = 1, minor-bounded refutations) still exercise the engine.
 
 use decomp::{validate_hd_width, Control};
+use logk::engine::INLINE_SEPARATIONS;
 use logk::{HybridConfig, HybridMetric, LogK};
 use proptest::prelude::*;
 use workloads::{families, hyperbench_like, wide_corpus, CorpusConfig, WideConfig};
@@ -59,17 +64,22 @@ fn corpus_parallel_matches_sequential() {
 }
 
 /// A disjoint union of two grids: every root candidate splits into one
-/// `[λc]`-component per grid. At 2 workers the λc race must return the
-/// exact verdict with a valid witness, and the pool's steal counter must
-/// move — the second worker really takes leads. At 1 worker the solve
-/// runs inline, so nothing is published and nothing is stolen.
+/// `[λc]`-component per grid. Its search needs 1370 separations, past the
+/// inline budget, so at 2 workers it is handed to the pool. The λc race
+/// must return the exact verdict with a valid witness, and the pool's
+/// steal counter must move — the second worker really takes leads. At 1
+/// worker the solve runs inline, so nothing is published and nothing is
+/// stolen.
 #[test]
 fn disjoint_grids_match_sequential_and_steal() {
     let hg = families::disjoint_union(&[families::grid(4, 4), families::grid(4, 4)]);
     let ctrl = Control::unlimited();
 
+    let (_, seq) = LogK::sequential().search_with_stats(&hg, 3, &ctrl).unwrap();
+    assert!(seq.separations > INLINE_SEPARATIONS, "{seq:?}");
     let (d, stats) = LogK::parallel(2).search_with_stats(&hg, 3, &ctrl).unwrap();
     validate_hd_width(&hg, &d.expect("hw(grid ⊎ grid) = 3"), 3).unwrap();
+    assert_eq!(stats.pool_handoffs, 1, "past the budget the solve races");
     assert!(
         stats.sched_steals > 0,
         "the second worker must actually steal λc leads"
@@ -148,7 +158,8 @@ proptest! {
     /// 1-worker engines are the sequential search itself: `parallel(1)`
     /// prints the witness and `SolveStats` of `sequential()`, `hybrid(1)`
     /// those of `sequential()` under the paper's handoff policy, and
-    /// neither touches a scheduler.
+    /// neither touches a scheduler. So does `parallel(2)` on every search
+    /// within the inline budget: no pool handoff, no steal, no park.
     #[test]
     fn parallel_decisions_match_sequential(hg in arb_hypergraph()) {
         let ctrl = Control::unlimited();
@@ -169,10 +180,15 @@ proptest! {
                 prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{} at k={}", name, k);
                 prop_assert_eq!((got.1.sched_steals, got.1.sched_parks), (0, 0), "{} at k={}", name, k);
             }
-            let a = seq.search_with_stats(&hg, k, &ctrl).unwrap().0;
-            let c = par2.search_with_stats(&hg, k, &ctrl).unwrap().0;
-            prop_assert_eq!(a.is_some(), c.is_some(), "parallel(2) at k={}", k);
-            for d in [&a, &c].into_iter().flatten() {
+            let a = seq.search_with_stats(&hg, k, &ctrl).unwrap();
+            let c = par2.search_with_stats(&hg, k, &ctrl).unwrap();
+            if a.1.separations <= INLINE_SEPARATIONS {
+                prop_assert_eq!(format!("{c:?}"), format!("{a:?}"), "parallel(2) at k={}", k);
+                let sched = (c.1.pool_handoffs, c.1.sched_steals, c.1.sched_parks);
+                prop_assert_eq!(sched, (0, 0, 0), "parallel(2) at k={}", k);
+            }
+            prop_assert_eq!(a.0.is_some(), c.0.is_some(), "parallel(2) at k={}", k);
+            for d in [&a.0, &c.0].into_iter().flatten() {
                 prop_assert!(validate_hd_width(&hg, d, k).is_ok());
             }
         }
